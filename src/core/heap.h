@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/failure.h"
+#include "common/stats.h"
 #include "core/superblock.h"
 #include "obs/contention.h"
 
@@ -33,8 +34,9 @@ struct SizeClassBin
 
 /**
  * State every superblock home shares: the lock, the u_i / a_i byte
- * counters, and the remote-free stack.  Superblock::owner() points at
- * this base; the free path dispatches on `index` (0 = global bin).
+ * counters, the per-operation stats shard, and the remote-free stack.
+ * Superblock::owner() points at this base; the free path dispatches on
+ * `index` (0 = global bin).
  */
 template <typename Policy>
 struct HeapBase
@@ -62,6 +64,13 @@ struct HeapBase
 
     /** a_i: bytes held in this home's superblocks (span bytes). */
     std::size_t held = 0;
+
+    /**
+     * Per-operation statistics of the locked path: allocations served
+     * from this heap and frees accepted into this home, written under
+     * `mutex` and folded lock-free by the allocator's stats readers.
+     */
+    detail::OpShard ops;
 
     /**
      * MPSC remote-free stack (Treiber, push-only): a thread freeing a

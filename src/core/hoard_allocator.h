@@ -40,6 +40,14 @@
  * remote-free queue: a free whose owning heap's lock is busy is pushed
  * there instead of blocking, and the owner settles the whole chain
  * with one exchange the next time it holds its lock.
+ *
+ * Statistics discipline: the per-operation counts (allocs, frees,
+ * requested and in-use bytes) live in shards — one per heap and
+ * global bin, written under its lock, and one per magazine node,
+ * written by its thread — so no small-object path writes a cache line
+ * every thread shares.  Readers fold the shards on demand
+ * (fold_stats).  Rare events (huge objects, remote pushes, superblock
+ * traffic) stay on the shared stats_ block.
  */
 
 #ifndef HOARD_CORE_HOARD_ALLOCATOR_H_
@@ -49,10 +57,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -201,6 +211,14 @@ class HoardAllocator final : public Allocator
         // freed by their own exit hooks (the dead id skips the flush).
         detail::magazine_unregister_allocator(magazine_id_);
         release_everything();
+        detail::MagazineShard* shard =
+            mag_shards_.load(std::memory_order_relaxed);
+        while (shard != nullptr) {
+            detail::MagazineShard* next = shard->next;
+            shard->~MagazineShard();
+            std::free(shard);
+            shard = next;
+        }
     }
 
     HoardAllocator(const HoardAllocator&) = delete;
@@ -217,15 +235,15 @@ class HoardAllocator final : public Allocator
         if (cls == SizeClasses::kHuge)
             return allocate_huge(size, /*align=*/16);
         void* block = nullptr;
-        if (detail::MagazineNode* node = my_magazines())
+        if (detail::MagazineNode* node = my_magazines()) {
             block = magazine_pop(node, cls);
+            if (block != nullptr)
+                count_alloc(*node->ops, size, classes_.block_size(cls));
+        }
         if (block == nullptr)
-            block = allocate_from_class(cls);
+            block = allocate_from_class(cls, size);
         if (block == nullptr)
             return nullptr;
-        stats_.allocs.add();
-        stats_.requested_bytes.add(size);
-        stats_.in_use_bytes.add(classes_.block_size(cls));
         profile_alloc(block, size, classes_.block_size(cls),
                       static_cast<std::uint32_t>(cls));
         return block;
@@ -265,22 +283,13 @@ class HoardAllocator final : public Allocator
             deallocate_huge(sb);
             return;
         }
-        // Read before freeing: once free_block lands the block, the
-        // emptied superblock can be unmapped (empty_cache_limit) and
-        // sb must not be dereferenced again.
-        const std::size_t block_bytes = sb->block_bytes();
         if (detail::MagazineNode* node = my_magazines()) {
-            // Magazine blocks are trusted on re-allocation, so the
-            // gauges settle up front as usual.
-            stats_.frees.add();
-            stats_.in_use_bytes.sub(block_bytes);
+            node->ops->count_free(sb->block_bytes());
             magazine_push(node, sb, p);
-        } else if (free_block(sb, p)) {
-            // Gauges settle only after the locked path accepted the
-            // block: the under-lock double-free probe may still reject
-            // it, and decrementing first would wrap in_use.
-            stats_.frees.add();
-            stats_.in_use_bytes.sub(block_bytes);
+        } else {
+            // Counts on whichever shard accepts the block; a rejected
+            // double free counts nothing.
+            free_block(sb, p);
         }
         // Tail position: no locks held here, so a due sample or purge
         // pass may take heap/bin locks without self-deadlock risk.
@@ -302,7 +311,14 @@ class HoardAllocator final : public Allocator
         return sb->block_bytes() - (addr - begin);
     }
 
-    const detail::AllocatorStats& stats() const override { return stats_; }
+    /** Folds the per-operation shards first (fold_stats), so the
+        four per-op fields are current as of this call. */
+    const detail::AllocatorStats&
+    stats() const override
+    {
+        fold_stats();
+        return stats_;
+    }
     const char* name() const override { return "hoard"; }
 
     /// @}
@@ -333,12 +349,9 @@ class HoardAllocator final : public Allocator
         if (cls == SizeClasses::kHuge) {
             return allocate_huge(size, align);
         }
-        block = allocate_from_class(cls);
+        block = allocate_from_class(cls, size);
         if (block == nullptr)
             return nullptr;
-        stats_.allocs.add();
-        stats_.requested_bytes.add(size);
-        stats_.in_use_bytes.add(classes_.block_size(cls));
         auto addr = reinterpret_cast<std::uintptr_t>(block);
         // Profile with the *returned* (interior) pointer: that is the
         // one the program frees, so it is the live-map key.
@@ -721,6 +734,7 @@ class HoardAllocator final : public Allocator
         }
 
         // Phase 2c: copy the gauges, then walk — allocation-free.
+        fold_stats();
         snap.stats.allocs = stats_.allocs.get();
         snap.stats.frees = stats_.frees.get();
         snap.stats.in_use_bytes = stats_.in_use_bytes.current();
@@ -1043,12 +1057,13 @@ class HoardAllocator final : public Allocator
      *  - the reuse cache's popper count may include parent threads
      *    that no longer exist; a nonzero count would make the next
      *    release_to_provider() spin in await_poppers() forever;
-     *  - the process-wide gauges are updated *outside* the heap locks
-     *    (deallocate settles them after free_block returns), so a
-     *    parent thread caught between its heap update and its gauge
-     *    update leaves them torn.  Per-heap counters cannot tear —
-     *    every mutation happens under a lock the prepare handler held
-     *    across the fork — so the gauges are recounted from them.
+     *  - some books are updated *outside* the heap locks — the
+     *    footprint gauges, and the in-use counts of the magazine and
+     *    shared stats shards — so a parent thread caught between its
+     *    heap update and its count leaves them torn.  Per-heap
+     *    counters cannot tear — every mutation happens under a lock
+     *    the prepare handler held across the fork — so the books are
+     *    recounted from them.
      *
      * Dead parent threads' magazines are flushed back to the heaps
      * (their owners cannot race: they do not exist in the child), so
@@ -1221,6 +1236,11 @@ class HoardAllocator final : public Allocator
             static_cast<std::uint32_t>(classes_.count()));
         if (node == nullptr)
             return nullptr;
+        node->ops = claim_magazine_shard();
+        if (node->ops == nullptr) {
+            std::free(node);
+            return nullptr;
+        }
         node->allocator = this;
         node->allocator_id = magazine_id_;
         node->flush_fn = &HoardAllocator::exit_flush_node;
@@ -1234,8 +1254,44 @@ class HoardAllocator final : public Allocator
         return node;
     }
 
+    /**
+     * A stats shard for a new magazine node: the first unclaimed one
+     * on mag_shards_, else a fresh one pushed there.  Lock-free (the
+     * list is push-only), so registration costs no extra lock round
+     * trip.  nullptr when the allocation fails; the thread then runs
+     * uncached, like a failed node allocation.
+     */
+    detail::MagazineShard*
+    claim_magazine_shard()
+    {
+        for (detail::MagazineShard* s =
+                 mag_shards_.load(std::memory_order_acquire);
+             s != nullptr; s = s->next) {
+            bool free = false;
+            if (!s->claimed.load(std::memory_order_relaxed) &&
+                s->claimed.compare_exchange_strong(
+                    free, true, std::memory_order_acquire,
+                    std::memory_order_relaxed))
+                return s;
+        }
+        // std::aligned_alloc, not operator new: see magazine.h.
+        void* mem = std::aligned_alloc(alignof(detail::MagazineShard),
+                                       sizeof(detail::MagazineShard));
+        if (mem == nullptr)
+            return nullptr;
+        auto* s = new (mem) detail::MagazineShard();
+        s->claimed.store(true, std::memory_order_relaxed);
+        s->next = mag_shards_.load(std::memory_order_relaxed);
+        while (!mag_shards_.compare_exchange_weak(
+            s->next, s, std::memory_order_release,
+            std::memory_order_relaxed)) {
+        }
+        return s;
+    }
+
     /** node->flush_fn target: a thread's exit hook flushing its node
-        back into this (registry-pinned, still live) allocator. */
+        back into this (registry-pinned, still live) allocator, then
+        handing its stats shard to the next registering thread. */
     static void
     exit_flush_node(void* allocator, detail::MagazineNode* node)
     {
@@ -1244,6 +1300,7 @@ class HoardAllocator final : public Allocator
             self->cache_mutex_);
         self->unlink_node_locked(node);
         self->flush_node_locked(node);
+        node->ops->claimed.store(false, std::memory_order_release);
     }
 
     /**
@@ -1280,8 +1337,8 @@ class HoardAllocator final : public Allocator
         Policy::touch(block, sizeof(void*), false);
         mag.head = *static_cast<void**>(block);
         --mag.count;
-        node->occupancy_bytes.fetch_sub(classes_.block_size(cls),
-                                        std::memory_order_relaxed);
+        add_occupancy(node, -static_cast<std::ptrdiff_t>(
+                                classes_.block_size(cls)));
         return block;
     }
 
@@ -1364,8 +1421,20 @@ class HoardAllocator final : public Allocator
         *static_cast<void**>(block) = mag.head;
         mag.head = block;
         ++mag.count;
-        node->occupancy_bytes.fetch_add(sb->block_bytes(),
-                                        std::memory_order_relaxed);
+        add_occupancy(node,
+                      static_cast<std::ptrdiff_t>(sb->block_bytes()));
+    }
+
+    /** Moves @p node's occupancy by @p delta bytes.  Load + store, not
+        a locked RMW: the caller is the node's only writer (its owner,
+        or a flusher with the owner quiesced). */
+    static void
+    add_occupancy(detail::MagazineNode* node, std::ptrdiff_t delta)
+    {
+        node->occupancy_bytes.store(
+            node->occupancy_bytes.load(std::memory_order_relaxed) +
+                static_cast<std::size_t>(delta),
+            std::memory_order_relaxed);
     }
 
     /** A sampled magazine park (free fast path).  noinline: see
@@ -1471,13 +1540,13 @@ class HoardAllocator final : public Allocator
         HOARD_DCHECK(mag.head == nullptr && mag.count == 0);
         mag.head = chain;
         mag.count = got;
-        node->occupancy_bytes.fetch_add(
-            static_cast<std::size_t>(got) * block_bytes,
-            std::memory_order_relaxed);
+        add_occupancy(node,
+                      static_cast<std::ptrdiff_t>(got * block_bytes));
         sync_node_gauge(node);
         stats_.batch_refills.add();
         record_event(obs::EventKind::batch_refill, heap.index, cls,
                      static_cast<std::uint64_t>(got) * block_bytes);
+        publish(*node->ops);
         return got;
     }
 
@@ -1503,15 +1572,15 @@ class HoardAllocator final : public Allocator
         mag.head = *static_cast<void**>(tail);
         *static_cast<void**>(tail) = nullptr;
         mag.count -= n;
-        node->occupancy_bytes.fetch_sub(
-            static_cast<std::size_t>(n) * classes_.block_size(cls),
-            std::memory_order_relaxed);
+        add_occupancy(node, -static_cast<std::ptrdiff_t>(
+                                n * classes_.block_size(cls)));
         sync_node_gauge(node);
         stats_.batch_flushes.add();
         record_event(obs::EventKind::batch_flush, my_heap_index(), cls,
                      static_cast<std::uint64_t>(n) *
                          classes_.block_size(cls));
         return_chain(chain);
+        publish(*node->ops);
     }
 
     /**
@@ -1540,13 +1609,13 @@ class HoardAllocator final : public Allocator
             }
             mag.count = 0;
         }
-        node->occupancy_bytes.fetch_sub(bytes,
-                                        std::memory_order_relaxed);
+        add_occupancy(node, -static_cast<std::ptrdiff_t>(bytes));
         sync_node_gauge(node);
         if (blocks != 0) {
             stats_.batch_flushes.add();
             record_event(obs::EventKind::batch_flush, 0, -1, bytes);
             return_chain(chain);
+            publish(*node->ops);
         }
     }
 
@@ -1923,6 +1992,7 @@ class HoardAllocator final : public Allocator
             // cached bytes from the magazine nodes (the global gauge
             // lags by up to a partial batch per thread).
             drain_all_remote();
+            fold_stats();
             std::uint64_t cached = 0;
             if (magazine_id_ != 0) {
                 std::lock_guard<typename Policy::Mutex> guard(
@@ -2076,22 +2146,23 @@ class HoardAllocator final : public Allocator
      * (thread caches, empty superblocks across all heaps) and retry
      * exactly once before reporting OOM to the caller.  All heap
      * accounting is already settled when the try-path reports failure,
-     * so the retry observes a consistent allocator.
+     * so the retry observes a consistent allocator.  @p size is the
+     * request, counted on the heap's stats shard on success.
      */
     void*
-    allocate_from_class(int cls)
+    allocate_from_class(int cls, std::size_t size)
     {
         if constexpr (Policy::kObsEnabled) {
             if (latency_ != nullptr) [[unlikely]]
-                return allocate_from_class_timed(cls);
+                return allocate_from_class_timed(cls, size);
         }
-        void* block = try_allocate_from_class(cls);
+        void* block = try_allocate_from_class(cls, size);
         if (block == nullptr) {
             stats_.oom_reclaims.add();
             record_event(obs::EventKind::oom_reclaim, my_heap_index(),
                          cls, classes_.block_size(cls));
             release_free_memory();
-            block = try_allocate_from_class(cls);
+            block = try_allocate_from_class(cls, size);
             if (block == nullptr)
                 stats_.oom_failures.add();
         }
@@ -2109,18 +2180,18 @@ class HoardAllocator final : public Allocator
      * noinline: armed-only, off the disarmed comparison's budget.
      */
     __attribute__((noinline)) void*
-    allocate_from_class_timed(int cls)
+    allocate_from_class_timed(int cls, std::size_t size)
     {
         obs::LatencyProbe probe;
         if (latency_->tick())
             probe.begin(Policy::cycle_timestamp());
-        void* block = try_allocate_from_class(cls, &probe);
+        void* block = try_allocate_from_class(cls, size, &probe);
         if (block == nullptr) {
             stats_.oom_reclaims.add();
             record_event(obs::EventKind::oom_reclaim, my_heap_index(),
                          cls, classes_.block_size(cls));
             release_free_memory();
-            block = try_allocate_from_class(cls, &probe);
+            block = try_allocate_from_class(cls, size, &probe);
             if (block == nullptr)
                 stats_.oom_failures.add();
         }
@@ -2129,11 +2200,13 @@ class HoardAllocator final : public Allocator
         return block;
     }
 
-    /** malloc slow+fast path for a non-huge class (paper Figure 2).
-        @p probe, when non-null, is armed at slow-path entry and
-        raised to the deepest stage reached. */
+    /** malloc slow+fast path for a non-huge class (paper Figure 2),
+        counting a request of @p size on the heap's stats shard when it
+        succeeds.  @p probe, when non-null, is armed at slow-path entry
+        and raised to the deepest stage reached. */
     void*
-    try_allocate_from_class(int cls, obs::LatencyProbe* probe = nullptr)
+    try_allocate_from_class(int cls, std::size_t size,
+                            obs::LatencyProbe* probe = nullptr)
     {
         const std::size_t block_bytes = classes_.block_size(cls);
         Heap& heap = my_heap();
@@ -2144,6 +2217,7 @@ class HoardAllocator final : public Allocator
         for (int i = 0; i < probes; ++i)
             Policy::work(CostKind::list_op);
 
+        bool fresh = false;
         if (sb == nullptr) {
             if constexpr (Policy::kObsEnabled) {
                 if (probe != nullptr)
@@ -2160,6 +2234,7 @@ class HoardAllocator final : public Allocator
                 sb = fresh_superblock(cls);
                 if (sb == nullptr)
                     return nullptr;  // OS exhausted
+                fresh = true;
                 if constexpr (Policy::kObsEnabled) {
                     if (probe != nullptr)
                         probe->raise(obs::LatencyPath::malloc_fresh_map);
@@ -2179,6 +2254,11 @@ class HoardAllocator final : public Allocator
         heap.in_use += block_bytes;
         heap.relink(sb, old_group);
         Policy::work(CostKind::list_op);
+        // A fresh map is where the footprint grows: fold there too.
+        // Global fetches are not fold points — they recur in steady
+        // cross-thread churn, where a fold under this lock costs more
+        // than the tighter peak is worth.
+        count_alloc(heap.ops, size, block_bytes, fresh);
         return block;
     }
 
@@ -2192,15 +2272,16 @@ class HoardAllocator final : public Allocator
      * on: the block goes to its lock-free remote queue and the owner
      * settles it at its next lock visit.
      *
-     * Returns false when the hardened under-lock double-free probe
-     * rejected the block (reported; nothing was freed) — the caller
-     * then leaves the gauges untouched.  The remote-queue path skips
-     * the probe (best-effort: the owner's state can't be examined
-     * without its lock) and always reports success.
+     * The free is counted on the stats shard of the home that
+     * accepted it, under that home's lock, or on the shared shard when
+     * it went to a remote queue.  A block the hardened under-lock
+     * double-free probe rejects (reported; nothing freed) is counted
+     * nowhere.  The remote-queue path skips the probe (best-effort:
+     * the owner's state can't be examined without its lock).
      *
      * noinline: lock-bound, and see refill_magazine.
      */
-    __attribute__((noinline)) bool
+    __attribute__((noinline)) void
     free_block(Superblock* sb, void* p)
     {
         // Sampled timing: with magazines off this is free's per-op
@@ -2217,16 +2298,20 @@ class HoardAllocator final : public Allocator
             }
         }
         void* block = sb->block_start(p);
+        // Read before freeing: once the block lands, an emptied
+        // superblock can be unmapped (empty_cache_limit).
+        const std::size_t block_bytes = sb->block_bytes();
         for (;;) {
             Base* home = static_cast<Base*>(sb->owner());
             if (home->mutex.is_locked_hint()) {
                 remote_free(*home, sb, block);
+                shared_ops_.count_free_shared(block_bytes);
                 if constexpr (Policy::kObsEnabled) {
                     if (timed)
                         latency_commit(
                             obs::LatencyPath::free_remote_push, t0);
                 }
-                return true;
+                return;
             }
             // The hint can go stale before the acquire; then we block
             // briefly (the paper's behavior), which is still correct.
@@ -2244,16 +2329,17 @@ class HoardAllocator final : public Allocator
                 home->mutex.unlock();
                 report_bad_free(stats_.bad_free_double, "double", p,
                                 sb->size_class());
-                return false;
+                return;
             }
             free_into_locked(*home, sb, block);
+            home->ops.count_free(block_bytes);
             Policy::work(CostKind::list_op);
             settle_and_unlock(*home);
             if constexpr (Policy::kObsEnabled) {
                 if (timed)
                     latency_commit(obs::LatencyPath::free_fast, t0);
             }
-            return true;
+            return;
         }
     }
 
@@ -2391,8 +2477,12 @@ class HoardAllocator final : public Allocator
      * plus bin u_i plus huge user bytes; held adds the reuse cache's
      * spans; committed is held minus whatever the purge pass has
      * decommitted (summed span-by-span over the only two places purged
-     * superblocks live).  Event counters and requested_bytes are left
-     * alone — they are diagnostics, not reconciled.
+     * superblocks live).  The in-use book itself stays sharded: the
+     * difference between the recount and the folded shards (a dead
+     * thread caught mid-update of a magazine or shared shard) is
+     * booked on the shared shard, then everything is folded again.
+     * Event counters and requested_bytes are left alone — they are
+     * diagnostics, not reconciled.
      */
     void
     repair_after_fork()
@@ -2441,12 +2531,76 @@ class HoardAllocator final : public Allocator
             cached += occ;
         }
         // Heap u_i counts magazine-parked blocks; the gauge does not.
-        stats_.in_use_bytes.set(in_use - cached);
+        detail::OpTotals folded = fold_ops();
+        shared_ops_.in_use_bytes.fetch_add(
+            static_cast<std::int64_t>(in_use - cached) -
+                folded.in_use_bytes,
+            std::memory_order_relaxed);
+        fold_stats();
         stats_.held_bytes.set(held);
         stats_.committed_bytes.set(held - purged);
         stats_.purged_bytes.set(purged);
         stats_.cached_bytes.set(cached);
     }
+
+    /// @name Per-operation statistics shards (common/stats.h OpShard).
+    /// @{
+
+    /** Sums every per-op stats shard: the shared one, each heap's and
+        global bin's, and each magazine shard.  Lock-free and
+        cost-free (no policy charge), so it is safe from any context. */
+    detail::OpTotals
+    fold_ops() const
+    {
+        detail::OpTotals totals;
+        totals.add(shared_ops_);
+        for (const auto& heap : heaps_)
+            totals.add(heap->ops);
+        for (const auto& bin : global_bins_)
+            totals.add(bin->ops);
+        for (const detail::MagazineShard* s =
+                 mag_shards_.load(std::memory_order_acquire);
+             s != nullptr; s = s->next)
+            totals.add(*s);
+        return totals;
+    }
+
+    /**
+     * The one read side of the per-op statistics: folds the shards and
+     * publishes the totals into stats_ (counts only rise; the in-use
+     * level is stored and its peak ratcheted).  Every stats reader
+     * goes through here, and so do the in-use peak's fold points.  Exact
+     * when the writers are quiescent; a fold racing them may mix
+     * before/after values of different shards.
+     */
+    __attribute__((noinline)) void
+    fold_stats() const
+    {
+        stats_.publish_ops(fold_ops());
+    }
+
+    /** A fold on behalf of @p shard's writer (the caller), restarting
+        the shard's growth measure from its current level. */
+    __attribute__((noinline)) void
+    publish(detail::OpShard& shard)
+    {
+        shard.peak_mark = shard.in_use_bytes.load(std::memory_order_relaxed);
+        fold_stats();
+    }
+
+    /** Counts one allocation on @p shard, whose writer the caller is,
+        folding when the shard has grown a superblock since its last
+        fold or @p force asks for one. */
+    void
+    count_alloc(detail::OpShard& shard, std::size_t requested,
+                std::size_t bytes, bool force = false)
+    {
+        if (shard.count_alloc(requested, bytes, publish_step_) || force)
+            [[unlikely]]
+            publish(shard);
+    }
+
+    /// @}
 
     /** Lands one free block in its home, dispatching on the home kind
         (index 0 = global bin).  Caller holds @p home's lock. */
@@ -3025,10 +3179,11 @@ class HoardAllocator final : public Allocator
             std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
             stripe.list.push_front(sb);
         }
-        stats_.allocs.add();
+        // The shared shard has no peak mark, so every huge allocation
+        // folds.
+        shared_ops_.count_alloc_shared(size, size);
+        fold_stats();
         stats_.huge_allocs.add();
-        stats_.requested_bytes.add(size);
-        stats_.in_use_bytes.add(size);
         stats_.held_bytes.add(total);
         stats_.committed_bytes.add(total);
         record_event(obs::EventKind::huge_alloc, 0, SizeClasses::kHuge,
@@ -3060,8 +3215,7 @@ class HoardAllocator final : public Allocator
         }
         std::size_t user = sb->huge_user_bytes();
         std::size_t total = sb->span_bytes();
-        stats_.frees.add();
-        stats_.in_use_bytes.sub(user);
+        shared_ops_.count_free_shared(user);
         stats_.held_bytes.sub(total);
         stats_.committed_bytes.sub(total);
         sb->~Superblock();
@@ -3300,7 +3454,19 @@ class HoardAllocator final : public Allocator
     /// Policy::kBackgroundThread, inert under SimPolicy (the harness
     /// drives bg_worker_sim instead).
     BackgroundEngine<HoardAllocator, Policy> bg_engine_{this};
-    detail::AllocatorStats stats_;
+    /// Process-wide statistics.  Rare events are counted here directly;
+    /// the four per-op fields are written only by fold_stats, which
+    /// const readers call too — hence mutable.
+    mutable detail::AllocatorStats stats_;
+    /// Per-op stats of the rare multi-writer paths (huge objects,
+    /// remote pushes, fork repair), updated by RMW.
+    detail::OpShard shared_ops_;
+    /// Push-only list of magazine stats shards (MagazineShard), freed
+    /// by the destructor.
+    std::atomic<detail::MagazineShard*> mag_shards_{nullptr};
+    /// In-use growth after which a shard folds: one superblock.
+    const std::int64_t publish_step_ =
+        static_cast<std::int64_t>(config_.superblock_bytes);
     /// Event rings; non-null only while tracing is enabled.
     std::unique_ptr<obs::EventRecorder> recorder_;
     /// Gauge time series; non-null only when tracing is enabled and

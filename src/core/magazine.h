@@ -41,8 +41,27 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/stats.h"
+
 namespace hoard {
 namespace detail {
+
+/**
+ * The per-operation stats shard a magazine node counts into.  It is
+ * not embedded in the node because nodes are freed at thread exit
+ * while stats readers fold shards without any lock: an allocator
+ * instead keeps a push-only list of these (freed only by its
+ * destructor), a node claims an unclaimed one at registration, and
+ * its thread's exit flush releases it for the next thread.  Counts
+ * are cumulative across owners; the release store / acquire claim
+ * pair hands the single-writer role over.  Cache-line aligned so two
+ * threads' shards never share a line.
+ */
+struct alignas(64) MagazineShard : OpShard
+{
+    std::atomic<bool> claimed{false};
+    MagazineShard* next = nullptr;  ///< immutable once published
+};
 
 /**
  * One thread's magazines for one allocator instance: a bounded LIFO of
@@ -53,10 +72,10 @@ namespace detail {
  * Single-writer: only the owning logical thread touches `mags` and
  * `synced_bytes` on the fast path.  `occupancy_bytes` is the one field
  * other threads read (snapshot/sampler cached-bytes attribution); it is
- * updated per operation with relaxed stores and is exact whenever the
- * owner is quiesced.  The global cached_bytes gauge is synced to it
- * only at batch boundaries — that is the "statistics move to batch
- * boundaries" half of the fast path.
+ * updated per operation by a relaxed load + store (no locked RMW) and
+ * is exact whenever the owner is quiesced.  The global cached_bytes
+ * gauge is synced to it only at batch boundaries — that is the
+ * "statistics move to batch boundaries" half of the fast path.
  */
 struct MagazineNode
 {
@@ -87,6 +106,11 @@ struct MagazineNode
 
     /** Exact bytes parked across all classes (relaxed; see above). */
     std::atomic<std::size_t> occupancy_bytes{0};
+
+    /** This node's per-operation stats shard: magazine pops and parks
+        are counted here by the owning thread alone (see
+        MagazineShard). */
+    MagazineShard* ops = nullptr;
 
     /** Portion already reflected in the global cached_bytes gauge.
         Touched only at batch boundaries, by the owner (or a quiesced

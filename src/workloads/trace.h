@@ -167,10 +167,12 @@ replay(Allocator& allocator, const Trace& trace)
             live.erase(it);
             ++result.frees;
         }
-        std::uint64_t held = allocator.stats().held_bytes.current();
+        // One stats() call per op: it folds the allocator's shards.
+        const detail::AllocatorStats& stats = allocator.stats();
+        std::uint64_t held = stats.held_bytes.current();
         if (held > result.peak_held_bytes)
             result.peak_held_bytes = held;
-        std::uint64_t in_use = allocator.stats().in_use_bytes.current();
+        std::uint64_t in_use = stats.in_use_bytes.current();
         if (in_use > result.peak_in_use_bytes)
             result.peak_in_use_bytes = in_use;
     }

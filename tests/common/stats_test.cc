@@ -115,6 +115,60 @@ TEST(Gauge, PeakUnderConcurrency)
     EXPECT_LE(g.peak(), 12u);
 }
 
+TEST(Counter, RaiseToKeepsTheMaximum)
+{
+    Counter c;
+    c.raise_to(10);
+    EXPECT_EQ(c.get(), 10u);
+    c.raise_to(7);  // a fold that finished late never lowers the count
+    EXPECT_EQ(c.get(), 10u);
+    c.raise_to(12);
+    EXPECT_EQ(c.get(), 12u);
+}
+
+TEST(OpShard, CountsAndAsksForAFoldAfterGrowingOneStep)
+{
+    OpShard shard;
+    EXPECT_FALSE(shard.count_alloc(10, 16, 100));
+    EXPECT_FALSE(shard.count_alloc(50, 64, 100));
+    EXPECT_TRUE(shard.count_alloc(20, 32, 100));  // 112 >= 0 + 100
+    EXPECT_EQ(shard.peak_mark, 112);
+    shard.count_free(64);
+    shard.count_free(32);  // the mark follows the level down
+    EXPECT_EQ(shard.peak_mark, 16);
+    EXPECT_FALSE(shard.count_alloc(1, 96, 100));  // 112 - 16 < 100
+    EXPECT_TRUE(shard.count_alloc(1, 16, 100));   // 128 - 16 >= 100
+    EXPECT_EQ(shard.allocs.load(), 5u);
+    EXPECT_EQ(shard.frees.load(), 2u);
+    EXPECT_EQ(shard.requested_bytes.load(), 82u);
+    EXPECT_EQ(shard.in_use_bytes.load(), 128);
+}
+
+TEST(OpShard, FoldPublishesSignedSumsIntoTheStatsBlock)
+{
+    OpShard a, b;
+    a.count_alloc(100, 128, 1 << 20);
+    a.count_alloc(100, 128, 1 << 20);
+    b.count_free(128);  // a block of a's, freed into b: b goes negative
+    EXPECT_EQ(b.in_use_bytes.load(), -128);
+    OpTotals totals;
+    totals.add(a);
+    totals.add(b);
+    AllocatorStats stats;
+    stats.publish_ops(totals);
+    EXPECT_EQ(stats.allocs.get(), 2u);
+    EXPECT_EQ(stats.frees.get(), 1u);
+    EXPECT_EQ(stats.requested_bytes.current(), 200u);
+    EXPECT_EQ(stats.in_use_bytes.current(), 128u);
+    EXPECT_EQ(stats.in_use_bytes.peak(), 128u);
+    // A negative sum can only come from a racy fold; it reads as 0.
+    OpTotals racy;
+    racy.add(b);
+    stats.publish_ops(racy);
+    EXPECT_EQ(stats.in_use_bytes.current(), 0u);
+    EXPECT_EQ(stats.allocs.get(), 2u);
+}
+
 TEST(AllocatorStats, FragmentationDefinition)
 {
     AllocatorStats stats;
