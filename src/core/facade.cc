@@ -16,16 +16,13 @@ namespace hoard {
 
 namespace {
 
-/**
- * The bare singleton, with no side effects beyond construction.  The
- * atfork handlers below must come through here, NOT through
- * global_allocator(): its lazy engine spawn locks the engine's
- * lifecycle mutex, which the forking thread holds from prepare until
- * the after-fork hooks — going through the public accessor inside a
- * fork handler self-deadlocks the fork.
- */
+/// Largest superblock HOARD_SUPERBLOCK_BYTES may select (16 MiB).
+constexpr unsigned long long kMaxEnvSuperblock = 1ull << 24;
+
+}  // namespace
+
 HoardAllocator<NativePolicy>&
-global_instance()
+global_allocator()
 {
     // Leaked singleton: outlives all static destructors that might free.
     static auto* instance = [] {
@@ -64,7 +61,8 @@ global_instance()
         if (const char* v = std::getenv("HOARD_LATENCY_PERIOD")) {
             char* end = nullptr;
             unsigned long long period = std::strtoull(v, &end, 10);
-            if (end != v && period >= 1)
+            if (end != v && period >= 1 &&
+                period <= std::numeric_limits<std::uint32_t>::max())
                 config.latency_sample_period =
                     static_cast<std::uint32_t>(period);
         }
@@ -74,15 +72,19 @@ global_instance()
             if (end != v)
                 config.latency_outlier_cycles = cycles;
         }
-        // HOARD_SUPERBLOCK_BYTES=<pow2 >= 1024> overrides S without a
-        // rebuild (macro_rss runs the shim at 64 KiB so a purged
-        // superblock gives back everything but its header page).
-        // Invalid values are ignored rather than validated fatally —
-        // an env typo must not abort every process on the machine.
+        // HOARD_SUPERBLOCK_BYTES=<pow2 in [1 KiB, 16 MiB]> overrides S
+        // without a rebuild (macro_rss runs the shim at 64 KiB so a
+        // purged superblock gives back everything but its header
+        // page).  Invalid values are ignored rather than validated
+        // fatally — an env typo must not abort every process on the
+        // machine.  The cap keeps the size-class lookup table (two
+        // bytes per 8 B of class range, built while the shim still
+        // serves from its bootstrap arena) well inside that arena.
         if (const char* v = std::getenv("HOARD_SUPERBLOCK_BYTES")) {
             char* end = nullptr;
             unsigned long long bytes = std::strtoull(v, &end, 10);
             if (end != v && bytes >= 1024 &&
+                bytes <= kMaxEnvSuperblock &&
                 (bytes & (bytes - 1)) == 0 &&
                 config.min_block_bytes < bytes / 4)
                 config.superblock_bytes =
@@ -112,24 +114,8 @@ global_instance()
             if (end != v && ticks >= 1)
                 config.purge_interval_ticks = ticks;
         }
-        // HOARD_BG=1 arms the asynchronous background engine (bin
-        // refill, remote-free settling, span pre-commit, cadenced
-        // purge off the foreground path — docs/ARCHITECTURE.md);
-        // HOARD_BG_INTERVAL=<ns> tunes the worker's pass cadence.
-        // The worker thread itself is spawned lazily below, never
-        // here: pthread_create can re-enter malloc (TLS setup on some
-        // libcs) and this lambda runs inside the magic static's
-        // one-time initializer.
-        if (const char* v = std::getenv("HOARD_BG"))
-            config.background_engine = v[0] != '0';
-        if (const char* v = std::getenv("HOARD_BG_INTERVAL")) {
-            char* end = nullptr;
-            unsigned long long ticks = std::strtoull(v, &end, 10);
-            if (end != v && ticks >= 1)
-                config.bg_interval_ticks = ticks;
-        }
         // HOARD_TIMELINE=<path> arms the gauge time-series sampler so
-        // the LD_PRELOAD shim can dump the v5 timeline there at exit
+        // the LD_PRELOAD shim can dump the v6 timeline there at exit
         // (docs/SHIM.md); the 1 ms default interval keeps a long run's
         // ring meaningful without measurable sampling cost.
         if (const char* v = std::getenv("HOARD_TIMELINE")) {
@@ -142,30 +128,6 @@ global_instance()
         return new HoardAllocator<NativePolicy>(config);
     }();
     return *instance;
-}
-
-}  // namespace
-
-HoardAllocator<NativePolicy>&
-global_allocator()
-{
-    HoardAllocator<NativePolicy>& instance = global_instance();
-    // Lazy engine spawn, outside the magic static's initializer: the
-    // first caller to reach here after construction starts the worker
-    // (and the child of a fork re-spawns its copy the same way).  The
-    // thread_local guard stops the recursion where pthread_create
-    // itself mallocs (TLS blocks on some libcs) and re-enters this
-    // function on the same thread mid-spawn.
-    if (instance.background_armed() &&
-        !instance.background_running()) [[unlikely]] {
-        static thread_local bool spawning = false;
-        if (!spawning) {
-            spawning = true;
-            instance.start_background();
-            spawning = false;
-        }
-    }
-    return instance;
 }
 
 void*
@@ -284,27 +246,24 @@ namespace {
  * prepare_fork documents its internal order).  Parent unlocks in
  * reverse; the child also repairs torn state (child_after_fork).
  */
-// All three handlers go through global_instance(): the public
-// accessor's lazy engine spawn would try to take the engine lifecycle
-// mutex this very thread holds across the fork (see global_instance).
 void
 fork_prepare()
 {
     detail::magazine_registry_prepare_fork();
-    global_instance().prepare_fork();
+    global_allocator().prepare_fork();
 }
 
 void
 fork_parent()
 {
-    global_instance().parent_after_fork();
+    global_allocator().parent_after_fork();
     detail::magazine_registry_parent_after_fork();
 }
 
 void
 fork_child()
 {
-    global_instance().child_after_fork();
+    global_allocator().child_after_fork();
     detail::magazine_registry_child_after_fork();
 }
 

@@ -118,10 +118,8 @@ void
 write_timeseries_jsonl(std::ostream& os, const TimeSeriesSampler& sampler)
 {
     for (const TimeSample& s : sampler.collect()) {
-        // "os" is kept as an alias of committed for v1-v3 consumers.
-        os << "{\"schema\":\"hoard-timeline-v5\",\"ts\":" << s.timestamp
+        os << "{\"schema\":\"hoard-timeline-v6\",\"ts\":" << s.timestamp
            << ",\"in_use\":" << s.in_use << ",\"held\":" << s.held
-           << ",\"os\":" << s.committed_bytes
            << ",\"committed\":" << s.committed_bytes
            << ",\"reserved\":" << s.reserved_bytes
            << ",\"purged\":" << s.purged_bytes
@@ -138,12 +136,7 @@ write_timeseries_jsonl(std::ostream& os, const TimeSeriesSampler& sampler)
            << ",\"bad_free_interior\":" << s.bad_free_interior
            << ",\"bad_free_double\":" << s.bad_free_double
            << ",\"prof_sampled_requested\":" << s.prof_requested
-           << ",\"prof_sampled_rounded\":" << s.prof_rounded
-           << ",\"bg_wakeups\":" << s.bg_wakeups
-           << ",\"bg_refills\":" << s.bg_refills
-           << ",\"bg_drains\":" << s.bg_drains
-           << ",\"bg_precommits\":" << s.bg_precommits
-           << ",\"bg_purges\":" << s.bg_purges;
+           << ",\"prof_sampled_rounded\":" << s.prof_rounded;
         for (int p = 0; p < kLatencyPathCount; ++p) {
             const char* name = to_string(static_cast<LatencyPath>(p));
             const auto i = static_cast<std::size_t>(p);
@@ -373,9 +366,6 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
     prom_header(os, "hoard_held_bytes", "gauge",
                 "bytes held in superblocks (A)");
     os << "hoard_held_bytes " << s.held_bytes << '\n';
-    prom_header(os, "hoard_os_bytes", "gauge",
-                "deprecated alias of hoard_committed_bytes");
-    os << "hoard_os_bytes " << s.committed_bytes << '\n';
     prom_header(os, "hoard_committed_bytes", "gauge",
                 "OS-committed bytes (RSS ground truth)");
     os << "hoard_committed_bytes " << s.committed_bytes << '\n';
@@ -449,21 +439,6 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
     prom_header(os, "hoard_bad_free_double_total", "counter",
                 "frees of blocks that were already free");
     os << "hoard_bad_free_double_total " << s.bad_free_double << '\n';
-    prom_header(os, "hoard_bg_wakeups_total", "counter",
-                "background-worker passes");
-    os << "hoard_bg_wakeups_total " << s.bg_wakeups << '\n';
-    prom_header(os, "hoard_bg_refills_total", "counter",
-                "global-bin superblocks parked by the background worker");
-    os << "hoard_bg_refills_total " << s.bg_refills << '\n';
-    prom_header(os, "hoard_bg_drains_total", "counter",
-                "remote-free queues settled by the background worker");
-    os << "hoard_bg_drains_total " << s.bg_drains << '\n';
-    prom_header(os, "hoard_bg_precommits_total", "counter",
-                "spans pre-committed ahead of demand");
-    os << "hoard_bg_precommits_total " << s.bg_precommits << '\n';
-    prom_header(os, "hoard_bg_purges_total", "counter",
-                "purge passes run on the background cadence");
-    os << "hoard_bg_purges_total " << s.bg_purges << '\n';
     os.flush();
 }
 
@@ -494,13 +469,6 @@ write_human(std::ostream& os, const AllocatorSnapshot& snap)
            << " foreign " << snap.stats.bad_free_foreign << " interior "
            << snap.stats.bad_free_interior << " double "
            << snap.stats.bad_free_double << "\n";
-    }
-    if (snap.stats.bg_wakeups != 0) {
-        os << "  background: wakeups " << snap.stats.bg_wakeups
-           << " refills " << snap.stats.bg_refills << " drains "
-           << snap.stats.bg_drains << " precommits "
-           << snap.stats.bg_precommits << " purges "
-           << snap.stats.bg_purges << "\n";
     }
     os << "  reconciles: " << (snap.reconciles() ? "yes" : "no")
        << ", invariant: "

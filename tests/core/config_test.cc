@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 namespace hoard {
 namespace {
@@ -26,6 +27,15 @@ struct ConfigCase
     std::function<void(Config&)> mutate;
     const char* expected_message;
 };
+
+// gtest appends the printed parameter to each case's reported name;
+// its default printer dumps the struct's raw bytes, pointers included,
+// which change from run to run.
+void
+PrintTo(const ConfigCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 class ConfigValidationTest : public ::testing::TestWithParam<ConfigCase>
 {};

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -178,6 +179,43 @@ TEST(Facade, MixedSizesStressRoundTrip)
     for (void* p : blocks)
         hoard_free(p);
     global_allocator().check_invariants();
+}
+
+// An env typo must not abort every shimmed process: out-of-range
+// values are ignored and the global instance keeps its defaults.  The
+// threadsafe style re-executes the test binary, so each child builds
+// a fresh global instance from the environment it inherits.
+TEST(FacadeEnvDeathTest, OutOfRangeKnobsAreIgnored)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Config defaults;
+    const struct
+    {
+        const char* name;
+        const char* value;
+    } cases[] = {
+        // 2^32: wraps to 0 in the knob's 32-bit field.
+        {"HOARD_LATENCY_PERIOD", "4294967296"},
+        // 2^27: above the 16 MiB cap.
+        {"HOARD_SUPERBLOCK_BYTES", "134217728"},
+    };
+    for (const auto& c : cases) {
+        ASSERT_EQ(setenv(c.name, c.value, 1), 0);
+        EXPECT_EXIT(
+            {
+                void* p = hoard_malloc(64);
+                hoard_free(p);
+                const Config& used = global_allocator().config();
+                const bool kept_defaults =
+                    used.latency_sample_period ==
+                        defaults.latency_sample_period &&
+                    used.superblock_bytes == defaults.superblock_bytes;
+                std::exit(p != nullptr && kept_defaults ? 0 : 1);
+            },
+            ::testing::ExitedWithCode(0), "")
+            << c.name << "=" << c.value;
+        unsetenv(c.name);
+    }
 }
 
 }  // namespace
