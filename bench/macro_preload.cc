@@ -21,8 +21,9 @@
  *    rejects unknown flags — and reports its throughput through that
  *    file.
  *
- * The preload throughput is the gated metric; the glibc number and the
- * ratio are context.  If the shim is not built (libhoard.so missing
+ * The preload throughput and the hoard/glibc ratio are gated; the
+ * glibc number is context.  The ratio normalizes away the runner's
+ * speed, which the absolute throughput cannot.  If the shim is not built (libhoard.so missing
  * next to the build tree), the preload half is skipped and only the
  * baseline is reported, so the bench degrades instead of failing in
  * partial builds.  A child that crashes or writes garbage fails the
@@ -213,7 +214,7 @@ main(int argc, char** argv)
     report.add_metric("hoard_preload_ops_per_sec", hoard_ops, "1/s",
                       hoard::metrics::Better::higher);
     report.add_metric("preload_ratio", hoard_ops / glibc_ops, "x",
-                      hoard::metrics::Better::info);
+                      hoard::metrics::Better::higher);
 
     if (!cli.json_path.empty() && !report.write_file(cli.json_path))
         return 1;

@@ -104,10 +104,13 @@ struct Config
      * front of the heaps.  A freed block parks in the freeing thread's
      * cache and the next allocation of that class pops it without
      * touching any heap.  Value = blocks cached per size class per
-     * thread slot; 0 disables (the default, keeping the measured system
-     * the paper's).  Caches are bounded (this many blocks per class)
-     * and flushed to the owning heaps on overflow, so blowup gains only
-     * a constant.  ABL-cache quantifies the effect.
+     * thread slot; 0 disables.  0 is the default here, keeping the
+     * simulated system the paper's; the shipped configuration behind
+     * libhoard.so and global_new.h (shipped_config(), core/facade.h)
+     * runs 64.  Caches are bounded — this many blocks per class, and
+     * about 16 KiB per class for large blocks (detail::magazine_limits)
+     * — and flushed to the owning heaps on overflow, so blowup gains
+     * only a constant.  ABL-cache quantifies the effect.
      */
     std::uint32_t thread_cache_blocks = 0;
 
@@ -118,7 +121,8 @@ struct Config
      * this many in one pass.  0 (the default) derives the batch as
      * max(1, thread_cache_blocks / 2) — half the cap, so a thread
      * alternating between allocation-heavy and free-heavy phases keeps
-     * headroom in both directions.  Must not exceed
+     * headroom in both directions.  Either way a class's batch is
+     * capped at half that class's (byte-capped) magazine bound.  Must not exceed
      * thread_cache_blocks; meaningless (and ignored) when caching is
      * off.  ABL-cache sweeps this axis.
      */

@@ -21,14 +21,22 @@ constexpr unsigned long long kMaxEnvSuperblock = 1ull << 24;
 
 }  // namespace
 
+Config
+shipped_config()
+{
+    Config config;
+    unsigned hw = std::thread::hardware_concurrency();
+    config.heap_count = hw == 0 ? 1 : static_cast<int>(hw);
+    config.thread_cache_blocks = 64;
+    return config;
+}
+
 HoardAllocator<NativePolicy>&
 global_allocator()
 {
     // Leaked singleton: outlives all static destructors that might free.
     static auto* instance = [] {
-        Config config;
-        unsigned hw = std::thread::hardware_concurrency();
-        config.heap_count = hw == 0 ? 1 : static_cast<int>(hw);
+        Config config = shipped_config();
         // HOARD_HARDENED_FREE=0 restores the trusting free path;
         // HOARD_BAD_FREE=warn counts-and-leaks instead of aborting —
         // both tunable without a rebuild, like HOARD_OBS.

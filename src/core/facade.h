@@ -21,7 +21,17 @@
 
 namespace hoard {
 
-/** The process-wide native allocator behind the C-style API. */
+/**
+ * The configuration the process-wide allocator ships with, before any
+ * HOARD_* environment override: Config's paper defaults plus one heap
+ * per hardware thread and thread magazines on (64 blocks per class,
+ * byte-capped per class by detail::magazine_limits).  Tests that must
+ * hammer what libhoard.so and global_new.h run build from this.
+ */
+Config shipped_config();
+
+/** The process-wide native allocator behind the C-style API:
+    shipped_config() plus the HOARD_* environment knobs. */
 HoardAllocator<NativePolicy>& global_allocator();
 
 /** malloc: allocates @p size bytes (size 0 yields a unique pointer). */

@@ -32,9 +32,10 @@
  *
  * Fast path (extension over the paper, see docs/ARCHITECTURE.md): with
  * Config::thread_cache_blocks > 0 each logical thread keeps per-class
- * *magazines* of free blocks (magazine.h).  malloc/free on a warm
- * magazine is lock-free and touches no shared statistics; magazines
- * refill and spill in batches of Config::thread_cache_batch blocks
+ * *magazines* of free blocks (magazine.h), each bounded in blocks and
+ * in bytes (detail::magazine_limits).  malloc/free on a warm magazine
+ * is lock-free and touches no shared statistics; magazines refill and
+ * spill in batches (Config::thread_cache_batch, capped per class)
  * under a single heap-lock acquisition, and the cached-bytes gauge is
  * synced once per batch.  Each heap additionally owns a lock-free MPSC
  * remote-free queue: a free whose owning heap's lock is busy is pushed
@@ -57,7 +58,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -137,15 +137,18 @@ class HoardAllocator final : public Allocator
         global_bins_.reserve(static_cast<std::size_t>(classes_.count()));
         for (int cls = 0; cls < classes_.count(); ++cls)
             global_bins_.push_back(std::make_unique<Bin>(cls));
-        if (config_.thread_cache_blocks > 0) {
-            batch_blocks_ =
+        if (config_.thread_cache_blocks > 0 &&
+            Policy::set_thread_exit_hook(&detail::magazine_thread_exit)) {
+            const std::uint32_t batch =
                 config_.thread_cache_batch != 0
                     ? config_.thread_cache_batch
                     : std::max(1u, config_.thread_cache_blocks / 2);
+            mag_limits_.reserve(static_cast<std::size_t>(classes_.count()));
+            for (int cls = 0; cls < classes_.count(); ++cls)
+                mag_limits_.push_back(detail::magazine_limits(
+                    config_.thread_cache_blocks, batch,
+                    classes_.block_size(cls)));
             magazine_id_ = detail::magazine_register_allocator();
-            if (magazine_id_ != 0)
-                Policy::set_thread_exit_hook(
-                    &detail::magazine_thread_exit);
         }
         if constexpr (Policy::kObsEnabled) {
             if (config_.observability || obs::env_enabled()) {
@@ -195,17 +198,12 @@ class HoardAllocator final : public Allocator
         // Unregister first: it blocks until any in-flight thread-exit
         // flush drains, and afterwards no exit hook will call back
         // into this allocator.  Surviving threads' stale nodes are
-        // freed by their own exit hooks (the dead id skips the flush).
+        // recycled by their own exit hooks (the dead id skips the
+        // flush, and never reads the node's shard).
         detail::magazine_unregister_allocator(magazine_id_);
         release_everything();
-        detail::MagazineShard* shard =
-            mag_shards_.load(std::memory_order_relaxed);
-        while (shard != nullptr) {
-            detail::MagazineShard* next = shard->next;
-            shard->~MagazineShard();
-            std::free(shard);
-            shard = next;
-        }
+        detail::magazine_shards_free(
+            mag_shards_.load(std::memory_order_relaxed));
     }
 
     HoardAllocator(const HoardAllocator&) = delete;
@@ -270,14 +268,12 @@ class HoardAllocator final : public Allocator
             deallocate_huge(sb);
             return;
         }
-        if (detail::MagazineNode* node = my_magazines()) {
-            node->ops->count_free(sb->block_bytes());
+        // Either path counts the free on the shard that accepts the
+        // block; a rejected double free counts nothing.
+        if (detail::MagazineNode* node = my_magazines())
             magazine_push(node, sb, p);
-        } else {
-            // Counts on whichever shard accepts the block; a rejected
-            // double free counts nothing.
+        else
             free_block(sb, p);
-        }
         // Tail position: no locks held here, so a due sample or purge
         // pass may take heap/bin locks without self-deadlock risk.
         maybe_sample();
@@ -1007,11 +1003,12 @@ class HoardAllocator final : public Allocator
 
     /**
      * The calling logical thread's magazine node for this allocator,
-     * or nullptr when caching is disabled or malloc refused the
+     * or nullptr when caching is disabled or the pool refused the
      * metadata (the caller then falls through to the locked path).
-     * The fast path is one TLS-slot read plus a short chain walk kept
-     * effectively O(1) by move-to-front: a thread touching one
-     * allocator — the common case — matches on the first node.
+     * The fast path is one TLS-slot read and one compare: the slot
+     * holds the head of the thread's node chain, kept at this
+     * allocator by move-to-front — a thread touching one allocator,
+     * the common case, matches on the head.
      */
     detail::MagazineNode*
     my_magazines()
@@ -1019,32 +1016,27 @@ class HoardAllocator final : public Allocator
         if (magazine_id_ == 0)
             return nullptr;
         void*& slot = Policy::thread_cache_slot();
-        auto* root = static_cast<detail::MagazineRoot*>(slot);
-        if (root == nullptr) {
-            root = detail::magazine_root_new();
-            if (root == nullptr)
-                return nullptr;
-            slot = root;
-        }
+        auto* head = static_cast<detail::MagazineNode*>(slot);
         detail::MagazineNode* prev = nullptr;
-        for (detail::MagazineNode* node = root->nodes; node != nullptr;
+        for (detail::MagazineNode* node = head; node != nullptr;
              prev = node, node = node->next_in_thread) {
             if (node->allocator_id != magazine_id_)
                 continue;
             if (prev != nullptr) {  // move-to-front
                 prev->next_in_thread = node->next_in_thread;
-                node->next_in_thread = root->nodes;
-                root->nodes = node;
+                node->next_in_thread = head;
+                slot = node;
             }
             return node;
         }
-        return register_thread_node(root);
+        return register_thread_node(slot);
     }
 
-    /** Cold path of my_magazines(): creates and links this thread's
-        node for this allocator (thread chain + allocator set). */
+    /** Cold path of my_magazines(): creates this thread's node for
+        this allocator and links it at the head of the thread chain
+        and into the allocator's set. */
     detail::MagazineNode*
-    register_thread_node(detail::MagazineRoot* root)
+    register_thread_node(void*& slot)
     {
         detail::MagazineNode* node = detail::magazine_node_new(
             static_cast<std::uint32_t>(classes_.count()));
@@ -1052,14 +1044,17 @@ class HoardAllocator final : public Allocator
             return nullptr;
         node->ops = claim_magazine_shard();
         if (node->ops == nullptr) {
-            std::free(node);
+            detail::magazine_node_free(node);
             return nullptr;
         }
+        for (std::uint32_t cls = 0; cls < node->num_classes; ++cls)
+            node->mags[cls].cap = mag_limits_[cls].cap;
         node->allocator = this;
         node->allocator_id = magazine_id_;
         node->flush_fn = &HoardAllocator::exit_flush_node;
-        node->next_in_thread = root->nodes;
-        root->nodes = node;
+        node->next_in_thread = static_cast<detail::MagazineNode*>(slot);
+        slot = node;
+        Policy::arm_thread_exit_hook();
         {
             std::lock_guard<typename Policy::Mutex> guard(cache_mutex_);
             node->next_in_set = cache_nodes_;
@@ -1070,10 +1065,10 @@ class HoardAllocator final : public Allocator
 
     /**
      * A stats shard for a new magazine node: the first unclaimed one
-     * on mag_shards_, else a fresh one pushed there.  Lock-free (the
-     * list is push-only), so registration costs no extra lock round
-     * trip.  nullptr when the allocation fails; the thread then runs
-     * uncached, like a failed node allocation.
+     * on mag_shards_, else a fresh one from the pool pushed there.
+     * Lock-free (the list is push-only), so registration costs no
+     * extra lock round trip.  nullptr when the pool is out of memory;
+     * the thread then runs uncached, like a failed node allocation.
      */
     detail::MagazineShard*
     claim_magazine_shard()
@@ -1088,12 +1083,9 @@ class HoardAllocator final : public Allocator
                     std::memory_order_relaxed))
                 return s;
         }
-        // std::aligned_alloc, not operator new: see magazine.h.
-        void* mem = std::aligned_alloc(alignof(detail::MagazineShard),
-                                       sizeof(detail::MagazineShard));
-        if (mem == nullptr)
+        detail::MagazineShard* s = detail::magazine_shard_new();
+        if (s == nullptr)
             return nullptr;
-        auto* s = new (mem) detail::MagazineShard();
         s->claimed.store(true, std::memory_order_relaxed);
         s->next = mag_shards_.load(std::memory_order_relaxed);
         while (!mag_shards_.compare_exchange_weak(
@@ -1203,8 +1195,12 @@ class HoardAllocator final : public Allocator
 
     /**
      * Parks the (whole, free) block containing @p p in the calling
-     * thread's magazine; a full magazine first spills one batch back
-     * to the owning heaps through the bulk-return path.
+     * thread's magazine and counts the free; a full magazine first
+     * spills one batch back to the owning heaps through the bulk-return
+     * path.  Under hardened_free a block already heading the magazine
+     * is a back-to-back double free: rejected and reported, nothing
+     * counted — the same O(1) probe free_block applies to the
+     * superblock free list.
      */
     void
     magazine_push(detail::MagazineNode* node, Superblock* sb, void* p)
@@ -1212,7 +1208,12 @@ class HoardAllocator final : public Allocator
         void* block = sb->block_start(p);
         int cls = sb->size_class();
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
-        if (mag.count >= config_.thread_cache_blocks) [[unlikely]] {
+        if (config_.hardened_free && mag.head == block) [[unlikely]] {
+            report_bad_free(stats_.bad_free_double, "double", p, cls);
+            return;
+        }
+        node->ops->count_free(sb->block_bytes());
+        if (mag.count >= mag.cap) [[unlikely]] {
             magazine_push_spill(node, sb, cls, block);
             return;
         }
@@ -1289,8 +1290,13 @@ class HoardAllocator final : public Allocator
      * lock round trip instead of one.  Pending remote frees are
      * settled first (the owner is visiting its lock anyway, so the
      * drain costs no extra acquisition); the emptiness invariant is
-     * enforced after the carve if the drain moved anything.  Returns
-     * the number of blocks parked; 0 means the OS refused memory.
+     * enforced after the carve if the drain moved anything.  Only an
+     * empty-handed refill fetches from the global heap or maps: a
+     * batch that runs out of local superblocks comes back short, since
+     * a superblock pulled in just to top it up would sit mostly unused
+     * in this heap's class — on a producer-consumer pipeline that
+     * drift cost ~5% peak RSS.  Returns the number of blocks parked;
+     * 0 means the OS refused memory.
      *
      * noinline: once-per-batch, and keeping it (and spill_magazine /
      * free_block) out of line holds magazine_pop/push to their
@@ -1311,20 +1317,25 @@ class HoardAllocator final : public Allocator
         std::size_t drained = drain_remote_locked(heap);
         void* chain = nullptr;
         std::uint32_t got = 0;
-        while (got < batch_blocks_) {
+        const std::uint32_t batch =
+            mag_limits_[static_cast<std::size_t>(cls)].batch;
+        while (got < batch) {
             int probes = 0;
             Superblock* sb = heap.find_allocatable(cls, &probes);
             for (int i = 0; i < probes; ++i)
                 Policy::work(CostKind::list_op);
             if (sb == nullptr) {
+                // Have blocks: a short batch beats pulling a whole
+                // superblock into this heap, and this class, for a
+                // top-up.
+                if (got > 0)
+                    break;
                 sb = fetch_from_global(cls, heap);
                 if (sb != nullptr) {
                     if (stage != nullptr &&
                         *stage < obs::LatencyPath::malloc_global_fetch)
                         *stage = obs::LatencyPath::malloc_global_fetch;
                 } else {
-                    if (got > 0)
-                        break;  // have blocks; don't map just to top up
                     sb = fresh_superblock(cls);
                     if (sb == nullptr)
                         break;  // OS exhausted; caller reclaims
@@ -1338,7 +1349,7 @@ class HoardAllocator final : public Allocator
             int old_group = sb->fullness_group();
             Policy::touch(sb, sizeof(Superblock), true);
             std::uint32_t n =
-                sb->allocate_batch(batch_blocks_ - got, &chain);
+                sb->allocate_batch(batch - got, &chain);
             heap.relink(sb, old_group);
             for (std::uint32_t i = 0; i < n; ++i)
                 Policy::work(CostKind::list_op);
@@ -1365,26 +1376,37 @@ class HoardAllocator final : public Allocator
     }
 
     /**
-     * Spills one batch (the most recently freed blocks) from @p
-     * node's magazine of @p cls back to the owning heaps via the
-     * bulk-return path: one gauge sync and one stats bump for the
-     * whole batch.  noinline: see refill_magazine.
+     * Spills one batch — the least recently freed blocks, from the
+     * bottom of the LIFO — from @p node's magazine of @p cls back to
+     * the owning heaps via the bulk-return path: one gauge sync and
+     * one stats bump for the whole batch.  The bottom goes so that no
+     * block stays parked for the thread's lifetime: a block that never
+     * leaves pins its superblock, which then can never empty and be
+     * reused for another class.  The cache-warm top stays.  noinline:
+     * see refill_magazine.
      */
     __attribute__((noinline)) void
     spill_magazine(detail::MagazineNode* node, int cls)
     {
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
-        std::uint32_t n = std::min(batch_blocks_, mag.count);
+        std::uint32_t n = std::min(
+            mag_limits_[static_cast<std::size_t>(cls)].batch, mag.count);
         if (n == 0)
             return;
-        void* chain = mag.head;
-        void* tail = chain;
-        for (std::uint32_t i = 1; i < n; ++i) {
-            Policy::touch(tail, sizeof(void*), false);
-            tail = *static_cast<void**>(tail);
+        void* chain;
+        const std::uint32_t keep = mag.count - n;
+        if (keep == 0) {
+            chain = mag.head;
+            mag.head = nullptr;
+        } else {
+            void* last = mag.head;  // becomes the last block kept
+            for (std::uint32_t i = 1; i < keep; ++i) {
+                Policy::touch(last, sizeof(void*), false);
+                last = *static_cast<void**>(last);
+            }
+            chain = *static_cast<void**>(last);
+            *static_cast<void**>(last) = nullptr;
         }
-        mag.head = *static_cast<void**>(tail);
-        *static_cast<void**>(tail) = nullptr;
         mag.count -= n;
         add_occupancy(node, -static_cast<std::ptrdiff_t>(
                                 n * classes_.block_size(cls)));
@@ -2175,10 +2197,11 @@ class HoardAllocator final : public Allocator
      *
      * A pointer *interior to a block* is legitimate (aligned
      * allocations hand those out) and passes; only pointers no
-     * allocation path can have produced are rejected.  Blocks parked
-     * in thread magazines are re-handed out without these checks, and
-     * the remote-free path skips the under-lock double probe — the
-     * hardening is best-effort by design (docs/SHIM.md).
+     * allocation path can have produced are rejected.  A double free
+     * of a block parked in a thread magazine is caught only while the
+     * block heads that magazine (magazine_push), and the remote-free
+     * path skips the under-lock double probe — the hardening is
+     * best-effort by design (docs/SHIM.md).
      *
      * always_inline: this is deallocate's hot prefix under the
      * default hardened_free, and the accept path is a handful of
@@ -3112,8 +3135,10 @@ class HoardAllocator final : public Allocator
     /// other (never against the owners' lock-free fast paths).
     typename Policy::Mutex cache_mutex_;
     detail::MagazineNode* cache_nodes_ = nullptr;
-    std::uint64_t magazine_id_ = 0;   ///< 0 = caching disabled
-    std::uint32_t batch_blocks_ = 1;  ///< N of the batched fast path
+    std::uint64_t magazine_id_ = 0;  ///< 0 = caching disabled
+    /// Per-class magazine cap and batch (detail::magazine_limits);
+    /// empty when caching is disabled.
+    std::vector<detail::MagazineLimits> mag_limits_;
     HugeStripe huge_stripes_[kHugeStripes];
     /// True when any purge trigger is configured; hoisted so the
     /// deallocate tail's maybe_purge() costs one predictable branch.
@@ -3131,8 +3156,8 @@ class HoardAllocator final : public Allocator
     /// Per-op stats of the rare multi-writer paths (huge objects,
     /// remote pushes, fork repair), updated by RMW.
     detail::OpShard shared_ops_;
-    /// Push-only list of magazine stats shards (MagazineShard), freed
-    /// by the destructor.
+    /// Push-only list of magazine stats shards (MagazineShard), handed
+    /// back to the pool by the destructor.
     std::atomic<detail::MagazineShard*> mag_shards_{nullptr};
     /// In-use growth after which a shard folds: one superblock.
     const std::int64_t publish_step_ =

@@ -1,15 +1,18 @@
 #include "core/magazine.h"
 
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
+#include <new>
+
+#include "os/meta_arena.h"
+#include "os/page_provider.h"
 
 namespace hoard {
 namespace detail {
 
 namespace {
 
-/** One live-allocator record; malloc'd, freed on unregister. */
+/** One live-allocator record; pooled, recycled on unregister. */
 struct LiveRec
 {
     std::uint64_t id;
@@ -18,43 +21,82 @@ struct LiveRec
 };
 
 /**
- * Registry state.  The mutex and condition variable are leaked-immortal
- * (function-local statics, never destroyed) so exit hooks running
- * during process teardown — thread_local destructors can outlive every
- * other static — always find them alive.
+ * Registry and metadata pool state.  Leaked-immortal (placement-new'd
+ * into static storage, never destroyed) so exit hooks running during
+ * process teardown always find it alive, and so constructing it never
+ * calls the allocator it serves.  The arena maps through its own
+ * provider: the pool's pages are process metadata, not part of any
+ * allocator's footprint.
  *
- * Critical sections under this mutex are pointer-ops only: a flush_fn
- * call takes policy mutexes, and under SimPolicy a policy mutex can
- * suspend the calling fiber.  Suspending while holding this process
- * mutex would let a second exiting fiber block the one OS thread the
- * whole simulation runs on — so liveness is instead a busy refcount:
- * the hook pins the record, drops the mutex, flushes, then unpins.
+ * Critical sections under the mutex are pointer ops and, rarely, one
+ * arena chunk map — never a policy mutex: a flush_fn call takes policy
+ * mutexes, and under SimPolicy a policy mutex can suspend the calling
+ * fiber.  Suspending while holding this process mutex would let a
+ * second exiting fiber block the one OS thread the whole simulation
+ * runs on — so liveness is instead a busy refcount: the hook pins the
+ * record, drops the mutex, flushes, then unpins.
  */
-std::mutex&
-registry_mutex()
+struct Registry
 {
-    static std::mutex* m = new std::mutex;
-    return *m;
-}
+    std::mutex mutex;
+    std::condition_variable cv;
+    os::MmapPageProvider provider;
+    os::MetaArena arena{provider};
+    LiveRec* live = nullptr;
+    std::uint64_t next_id = 1;
+    LiveRec* free_recs = nullptr;
+    MagazineNode* free_nodes = nullptr;  ///< linked by next_in_thread
+    MagazineShard* free_shards = nullptr;
+};
 
-std::condition_variable&
-registry_cv()
+Registry&
+registry()
 {
-    static std::condition_variable* cv = new std::condition_variable;
-    return *cv;
+    alignas(Registry) static unsigned char storage[sizeof(Registry)];
+    static Registry* r = new (storage) Registry;
+    return *r;
 }
-
-LiveRec* g_live = nullptr;
-std::uint64_t g_next_id = 1;
 
 LiveRec*
-find_locked(std::uint64_t id)
+find_locked(Registry& reg, std::uint64_t id)
 {
-    for (LiveRec* r = g_live; r != nullptr; r = r->next) {
+    for (LiveRec* r = reg.live; r != nullptr; r = r->next) {
         if (r->id == id)
             return r;
     }
     return nullptr;
+}
+
+/** Node storage is whole cache lines: two threads' nodes, written on
+    every fast-path op, never share one. */
+constexpr std::size_t kNodeAlign = 64;
+
+std::size_t
+node_bytes(std::uint32_t num_classes)
+{
+    std::size_t bytes = sizeof(MagazineNode) +
+                        static_cast<std::size_t>(num_classes) *
+                            sizeof(MagazineNode::Magazine);
+    return (bytes + kNodeAlign - 1) & ~(kNodeAlign - 1);
+}
+
+/** First pooled node with room for @p num_classes, unlinked; else
+    fresh arena storage.  Caller holds the registry mutex. */
+void*
+node_storage_locked(Registry& reg, std::uint32_t num_classes,
+                    std::uint32_t* capacity)
+{
+    for (MagazineNode** p = &reg.free_nodes; *p != nullptr;
+         p = &(*p)->next_in_thread) {
+        MagazineNode* node = *p;
+        if (node->capacity >= num_classes) {
+            *p = node->next_in_thread;
+            *capacity = node->capacity;
+            return node;
+        }
+    }
+    *capacity = num_classes;
+    return reg.arena.allocate(node_bytes(num_classes), kNodeAlign);
 }
 
 }  // namespace
@@ -62,42 +104,84 @@ find_locked(std::uint64_t id)
 MagazineNode*
 magazine_node_new(std::uint32_t num_classes)
 {
-    // One chunk: node header followed by the magazine array.  Plain
-    // malloc, not operator new — see the header's memory discipline.
-    std::size_t bytes = sizeof(MagazineNode) +
-                        static_cast<std::size_t>(num_classes) *
-                            sizeof(MagazineNode::Magazine);
-    void* mem = std::malloc(bytes);
+    Registry& reg = registry();
+    void* mem;
+    std::uint32_t capacity;
+    {
+        std::lock_guard<std::mutex> guard(reg.mutex);
+        mem = node_storage_locked(reg, num_classes, &capacity);
+    }
     if (mem == nullptr)
         return nullptr;
     auto* node = new (mem) MagazineNode();
     node->num_classes = num_classes;
+    node->capacity = capacity;
     node->mags = reinterpret_cast<MagazineNode::Magazine*>(node + 1);
     for (std::uint32_t i = 0; i < num_classes; ++i)
         new (&node->mags[i]) MagazineNode::Magazine();
     return node;
 }
 
-MagazineRoot*
-magazine_root_new()
+void
+magazine_node_free(MagazineNode* node)
 {
-    void* mem = std::malloc(sizeof(MagazineRoot));
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> guard(reg.mutex);
+    node->next_in_thread = reg.free_nodes;
+    reg.free_nodes = node;
+}
+
+MagazineShard*
+magazine_shard_new()
+{
+    Registry& reg = registry();
+    void* mem;
+    {
+        std::lock_guard<std::mutex> guard(reg.mutex);
+        mem = reg.free_shards;
+        if (mem != nullptr)
+            reg.free_shards = reg.free_shards->next;
+        else
+            mem = reg.arena.allocate(sizeof(MagazineShard),
+                                     alignof(MagazineShard));
+    }
     if (mem == nullptr)
         return nullptr;
-    return new (mem) MagazineRoot();
+    return new (mem) MagazineShard();
+}
+
+void
+magazine_shards_free(MagazineShard* shards)
+{
+    if (shards == nullptr)
+        return;
+    MagazineShard* tail = shards;
+    while (tail->next != nullptr)
+        tail = tail->next;
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> guard(reg.mutex);
+    tail->next = reg.free_shards;
+    reg.free_shards = shards;
 }
 
 std::uint64_t
 magazine_register_allocator()
 {
-    auto* rec = static_cast<LiveRec*>(std::malloc(sizeof(LiveRec)));
-    if (rec == nullptr)
-        return 0;  // caller treats 0 as "caching unavailable"
-    std::lock_guard<std::mutex> guard(registry_mutex());
-    rec->id = g_next_id++;
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> guard(reg.mutex);
+    LiveRec* rec = reg.free_recs;
+    if (rec != nullptr) {
+        reg.free_recs = rec->next;
+    } else {
+        rec = static_cast<LiveRec*>(
+            reg.arena.allocate(sizeof(LiveRec), alignof(LiveRec)));
+        if (rec == nullptr)
+            return 0;  // caller treats 0 as "caching unavailable"
+    }
+    rec->id = reg.next_id++;
     rec->busy = 0;
-    rec->next = g_live;
-    g_live = rec;
+    rec->next = reg.live;
+    reg.live = rec;
     return rec->id;
 }
 
@@ -106,17 +190,18 @@ magazine_unregister_allocator(std::uint64_t id)
 {
     if (id == 0)
         return;
-    std::unique_lock<std::mutex> lock(registry_mutex());
-    for (LiveRec** p = &g_live; *p != nullptr; p = &(*p)->next) {
+    Registry& reg = registry();
+    std::unique_lock<std::mutex> lock(reg.mutex);
+    for (LiveRec** p = &reg.live; *p != nullptr; p = &(*p)->next) {
         if ((*p)->id == id) {
             LiveRec* dead = *p;
             *p = dead->next;
             // Unlinked: no new exit flush can pin this allocator.  An
             // exit flush already inside flush_fn still holds a pin;
             // wait it out before letting the destructor proceed.
-            registry_cv().wait(lock,
-                               [dead] { return dead->busy == 0; });
-            std::free(dead);
+            reg.cv.wait(lock, [dead] { return dead->busy == 0; });
+            dead->next = reg.free_recs;
+            reg.free_recs = dead;
             return;
         }
     }
@@ -125,62 +210,62 @@ magazine_unregister_allocator(std::uint64_t id)
 void
 magazine_registry_prepare_fork()
 {
-    registry_mutex().lock();
+    registry().mutex.lock();
 }
 
 void
 magazine_registry_parent_after_fork()
 {
-    registry_mutex().unlock();
+    registry().mutex.unlock();
 }
 
 void
 magazine_registry_child_after_fork()
 {
     // The forking thread owns the mutex (prepare handler); holding it
-    // across fork() guarantees no record was mid-mutation.  Exit
-    // flushes that were pinned in the parent belong to threads that do
-    // not exist in the child — drop their pins so unregister never
-    // waits on them.
-    for (LiveRec* r = g_live; r != nullptr; r = r->next)
+    // across fork() guarantees no record, pool list or arena chunk was
+    // mid-mutation.  Exit flushes that were pinned in the parent
+    // belong to threads that do not exist in the child — drop their
+    // pins so unregister never waits on them.
+    Registry& reg = registry();
+    for (LiveRec* r = reg.live; r != nullptr; r = r->next)
         r->busy = 0;
-    registry_mutex().unlock();
+    reg.mutex.unlock();
 }
 
 void
-magazine_thread_exit(void* root_ptr)
+magazine_thread_exit(void* head)
 {
-    if (root_ptr == nullptr)
+    if (head == nullptr)
         return;
-    auto* root = static_cast<MagazineRoot*>(root_ptr);
-    for (MagazineNode* node = root->nodes; node != nullptr;
+    Registry& reg = registry();
+    auto* first = static_cast<MagazineNode*>(head);
+    MagazineNode* last = first;
+    for (MagazineNode* node = first; node != nullptr;
          node = node->next_in_thread) {
+        last = node;
         if (node->flush_fn == nullptr)
             continue;
         LiveRec* rec;
         {
-            std::lock_guard<std::mutex> guard(registry_mutex());
-            rec = find_locked(node->allocator_id);
+            std::lock_guard<std::mutex> guard(reg.mutex);
+            rec = find_locked(reg, node->allocator_id);
             if (rec == nullptr)
-                continue;  // allocator already destroyed; just free
+                continue;  // allocator already destroyed; just recycle
             ++rec->busy;
         }
         // The pin (busy > 0) is what keeps `node->allocator` alive
         // here: a racing destructor waits in unregister until it drops.
         node->flush_fn(node->allocator, node);
         {
-            std::lock_guard<std::mutex> guard(registry_mutex());
+            std::lock_guard<std::mutex> guard(reg.mutex);
             --rec->busy;
         }
-        registry_cv().notify_all();
+        reg.cv.notify_all();
     }
-    MagazineNode* node = root->nodes;
-    while (node != nullptr) {
-        MagazineNode* next = node->next_in_thread;
-        std::free(node);
-        node = next;
-    }
-    std::free(root);
+    std::lock_guard<std::mutex> guard(reg.mutex);
+    last->next_in_thread = reg.free_nodes;
+    reg.free_nodes = first;
 }
 
 }  // namespace detail

@@ -2,9 +2,9 @@
  * @file
  * Thread-local magazine plumbing shared by every HoardAllocator
  * instantiation: the per-(thread, allocator) magazine node, the
- * per-logical-thread node chain, and the process-wide liveness
- * registry that lets a thread-exit hook tell a live allocator from a
- * destroyed one.
+ * per-logical-thread node chain, the process-wide pool their metadata
+ * comes from, and the process-wide liveness registry that lets a
+ * thread-exit hook tell a live allocator from a destroyed one.
  *
  * Why this is not simply a `thread_local` member: the allocator is a
  * template over the execution policy, and under SimPolicy the logical
@@ -16,27 +16,34 @@
  * sim, the uninstrumented bench policy) shares one chain format and
  * one exit hook.
  *
- * Memory discipline: nodes and roots are std::malloc'd, never operator
- * new'd — in whole-process deployments (global_new.h) operator new is
- * the allocator under construction, and registering a magazine from
- * inside allocate() must not recurse into it.  A node is freed only by
- * its owning thread's exit hook; other threads may empty a node's
- * lists (quiesced flush) but never free it, so the fast path needs no
- * lifetime synchronization.
+ * Memory discipline: nodes, stats shards and liveness records never
+ * come from malloc or operator new.  In whole-process deployments
+ * (global_new.h, the LD_PRELOAD shim) both are the allocator under
+ * construction, and the shim would serve a registration made inside a
+ * wrapper from its never-reused bootstrap arena, so every new thread
+ * would leak its metadata there.  Instead one process-wide pool carves
+ * them from an os::MetaArena over its own mmap provider and keeps the
+ * exited ones on free lists for the next thread.  The pool outlives
+ * every allocator: a surviving thread's chain may still hold a node of
+ * an allocator destroyed meanwhile.  A node goes back to the pool only
+ * from its owning thread's exit hook; other threads may empty a node's
+ * lists (quiesced flush) but never release it, so the fast path needs
+ * no lifetime synchronization.
  *
  * Lock order (the only multi-lock paths in the allocator):
  *   allocator cache-set mutex -> heap locks -> global-heap lock.
- * The liveness-registry mutex nests inside nothing and guards nothing
- * that suspends: exit hooks pin an allocator with a busy refcount and
- * drop the registry mutex *before* calling into it, because under
- * SimPolicy a policy mutex can suspend the calling fiber and parking a
- * process-wide std::mutex across that would deadlock the one OS thread
- * the simulation runs on.
+ * The liveness-registry mutex also guards the metadata pool.  It nests
+ * inside nothing and guards nothing that suspends: exit hooks pin an
+ * allocator with a busy refcount and drop the registry mutex *before*
+ * calling into it, because under SimPolicy a policy mutex can suspend
+ * the calling fiber and parking a process-wide std::mutex across that
+ * would deadlock the one OS thread the simulation runs on.
  */
 
 #ifndef HOARD_CORE_MAGAZINE_H_
 #define HOARD_CORE_MAGAZINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -47,11 +54,51 @@ namespace hoard {
 namespace detail {
 
 /**
+ * Bytes one magazine may park, in whole blocks: a class caches at most
+ * max(kMagazineMinBlocks, ceil(kMagazineClassBytes / block)) blocks,
+ * and never more than Config::thread_cache_blocks.  A byte bound, not
+ * only a block count, keeps what a thread can strand in its caches
+ * O(1) in bytes per class: a consumer that only frees fills its
+ * magazines with whatever size its producers chose.
+ */
+inline constexpr std::size_t kMagazineClassBytes = 16 * 1024;
+
+/** Floor of the per-class cap, so the largest classes still batch. */
+inline constexpr std::uint32_t kMagazineMinBlocks = 4;
+
+/** One class's magazine bound and its refill/spill batch. */
+struct MagazineLimits
+{
+    std::uint32_t cap = 0;    ///< blocks a magazine of the class holds
+    std::uint32_t batch = 0;  ///< blocks one refill or spill moves
+};
+
+/**
+ * The limits of a class of @p block_bytes blocks under a
+ * Config::thread_cache_blocks of @p cache_blocks and a (resolved,
+ * nonzero) Config::thread_cache_batch of @p batch.  The batch is capped
+ * at half the class's cap so a magazine keeps headroom both ways.
+ */
+inline MagazineLimits
+magazine_limits(std::uint32_t cache_blocks, std::uint32_t batch,
+                std::size_t block_bytes)
+{
+    const std::size_t by_bytes =
+        (kMagazineClassBytes + block_bytes - 1) / block_bytes;
+    MagazineLimits limits;
+    limits.cap = static_cast<std::uint32_t>(std::min<std::size_t>(
+        cache_blocks,
+        std::max<std::size_t>(kMagazineMinBlocks, by_bytes)));
+    limits.batch = std::max(1u, std::min(batch, limits.cap / 2));
+    return limits;
+}
+
+/**
  * The per-operation stats shard a magazine node counts into.  It is
- * not embedded in the node because nodes are freed at thread exit
+ * not embedded in the node because nodes are recycled at thread exit
  * while stats readers fold shards without any lock: an allocator
- * instead keeps a push-only list of these (freed only by its
- * destructor), a node claims an unclaimed one at registration, and
+ * instead keeps a push-only list of these (returned to the pool only
+ * by its destructor), a node claims an unclaimed one at registration, and
  * its thread's exit flush releases it for the next thread.  Counts
  * are cumulative across owners; the release store / acquire claim
  * pair hands the single-writer role over.  Cache-line aligned so two
@@ -60,7 +107,8 @@ namespace detail {
 struct alignas(64) MagazineShard : OpShard
 {
     std::atomic<bool> claimed{false};
-    MagazineShard* next = nullptr;  ///< immutable once published
+    /** Immutable once published; in the pool, links the free list. */
+    MagazineShard* next = nullptr;
 };
 
 /**
@@ -83,6 +131,7 @@ struct MagazineNode
     {
         void* head = nullptr;      ///< LIFO threaded through blocks
         std::uint32_t count = 0;
+        std::uint32_t cap = 0;     ///< MagazineLimits::cap of the class
     };
 
     /** Owning allocator; valid only while `allocator_id` is live. */
@@ -101,7 +150,9 @@ struct MagazineNode
      */
     void (*flush_fn)(void* allocator, MagazineNode* node) = nullptr;
 
-    MagazineNode* next_in_thread = nullptr;  ///< per-thread root chain
+    /** Per-thread chain; the thread's cache slot holds its head.  In
+        the pool, links the free list instead. */
+    MagazineNode* next_in_thread = nullptr;
     MagazineNode* next_in_set = nullptr;     ///< per-allocator chain
 
     /** Exact bytes parked across all classes (relaxed; see above). */
@@ -119,6 +170,11 @@ struct MagazineNode
 
     std::uint32_t num_classes = 0;
 
+    /** Magazines this node's storage holds (>= num_classes); kept
+        across reuse so the pool can hand the node to any allocator
+        with at most this many classes. */
+    std::uint32_t capacity = 0;
+
     /**
      * Latency-sampling countdown (obs/latency.h): decremented on each
      * armed fast-path op; hitting zero selects the op for timing and
@@ -135,19 +191,21 @@ struct MagazineNode
     Magazine* mags = nullptr;
 };
 
-/** What a logical thread's cache slot points at: its node chain. */
-struct MagazineRoot
-{
-    MagazineNode* nodes = nullptr;
-};
-
-/** mallocs a node with space for @p num_classes magazines (zeroed);
-    returns nullptr on malloc failure (caching then silently degrades
-    to the uncached path for this thread). */
+/** A node from the process-wide pool with room for @p num_classes
+    magazines (all empty), or nullptr when the pool cannot map more
+    memory (caching then silently degrades to the uncached path for
+    this thread). */
 MagazineNode* magazine_node_new(std::uint32_t num_classes);
 
-/** mallocs an empty root, or nullptr. */
-MagazineRoot* magazine_root_new();
+/** Returns a node that was never linked anywhere to the pool. */
+void magazine_node_free(MagazineNode* node);
+
+/** A zeroed, unclaimed stats shard from the pool, or nullptr. */
+MagazineShard* magazine_shard_new();
+
+/** Returns a chain of shards (linked by MagazineShard::next) to the
+    pool; an allocator's destructor hands back its whole list. */
+void magazine_shards_free(MagazineShard* shards);
 
 /// @name Allocator liveness registry.
 /// Serializes thread-exit flushes against allocator destruction: the
@@ -159,7 +217,8 @@ MagazineRoot* magazine_root_new();
 /// destructor would park the machine's only OS thread.
 /// @{
 
-/** Registers a new allocator; returns its fresh nonzero id. */
+/** Registers a new allocator; returns its fresh nonzero id, or 0
+    when the pool cannot map a record (caching then stays off). */
 std::uint64_t magazine_register_allocator();
 
 /** Unregisters @p id; after return no exit hook will flush into it. */
@@ -189,12 +248,12 @@ void magazine_registry_child_after_fork();
 
 /**
  * The thread-exit hook both execution policies invoke with a thread's
- * non-null cache slot: flushes every node whose allocator is still
- * live (via node->flush_fn, under the registry mutex), then frees the
- * nodes and the root.  Signature matches
- * Policy::set_thread_exit_hook.
+ * non-null cache slot (the head of its node chain): flushes every node
+ * whose allocator is still live (via node->flush_fn, pinned in the
+ * registry), then returns the whole chain to the pool.  Signature
+ * matches Policy::set_thread_exit_hook.
  */
-void magazine_thread_exit(void* root);
+void magazine_thread_exit(void* head);
 
 }  // namespace detail
 }  // namespace hoard

@@ -1,5 +1,7 @@
 #include "policy/native_policy.h"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdint>
 
@@ -11,40 +13,46 @@ std::atomic<int> g_next_index{0};
 
 std::atomic<void (*)(void*)> g_thread_exit_hook{nullptr};
 
+pthread_key_t g_exit_key;
+
 /**
- * Holds the per-thread cache slot and runs the exit hook from its
- * destructor, which the runtime calls at OS-thread exit (after the
- * thread body returns, before join() unblocks — so a post-join flush
- * observes the hook's effects).
+ * Key destructor: runs at OS-thread exit after the thread body and its
+ * thread_local destructors (so their frees still land in the slot's
+ * magazines), before join() unblocks — a post-join flush observes the
+ * hook's effects.  The slot is read and cleared here rather than taken
+ * from @p value, because move-to-front rewrites the slot after arming.
+ * A free from a later key destructor re-arms the key, and glibc then
+ * runs this again (up to PTHREAD_DESTRUCTOR_ITERATIONS rounds).
  */
-struct CacheSlotHolder
+void
+run_thread_exit_hook(void* /* value */)
 {
-    void* slot = nullptr;
-
-    ~CacheSlotHolder()
-    {
-        void (*hook)(void*) =
-            g_thread_exit_hook.load(std::memory_order_acquire);
-        if (slot != nullptr && hook != nullptr)
-            hook(slot);
-        slot = nullptr;
-    }
-};
-
-thread_local CacheSlotHolder t_cache_slot;
+    void* slot = NativePolicy::thread_cache_slot();
+    NativePolicy::thread_cache_slot() = nullptr;
+    void (*hook)(void*) =
+        g_thread_exit_hook.load(std::memory_order_acquire);
+    if (slot != nullptr && hook != nullptr)
+        hook(slot);
+}
 
 }  // namespace
 
-void*&
-NativePolicy::thread_cache_slot()
+bool
+NativePolicy::set_thread_exit_hook(void (*hook)(void*))
 {
-    return t_cache_slot.slot;
+    static const bool have_key =
+        pthread_key_create(&g_exit_key, &run_thread_exit_hook) == 0;
+    if (!have_key)
+        return false;
+    g_thread_exit_hook.store(hook, std::memory_order_release);
+    return true;
 }
 
 void
-NativePolicy::set_thread_exit_hook(void (*hook)(void*))
+NativePolicy::arm_thread_exit_hook()
 {
-    g_thread_exit_hook.store(hook, std::memory_order_release);
+    // Any non-null value arms the destructor; the slot holds the data.
+    pthread_setspecific(g_exit_key, &g_exit_key);
 }
 
 __attribute__((noinline)) int

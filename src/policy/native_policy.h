@@ -170,19 +170,38 @@ struct NativePolicy
     static void rebind_thread_index(int idx) { ThreadRegistry::rebind(idx); }
 
     /**
-     * The calling logical thread's opaque cache slot (the thread-
-     * magazine root, core/magazine.h).  One slot per OS thread here;
-     * under SimPolicy one per fiber — which is why the allocator goes
-     * through the policy instead of declaring a thread_local.
+     * The calling logical thread's opaque cache slot (the head of its
+     * thread-magazine chain, core/magazine.h).  One slot per OS thread
+     * here; under SimPolicy one per fiber — which is why the allocator
+     * goes through the policy instead of declaring a thread_local.
      */
-    static void*& thread_cache_slot();
+    static void*& thread_cache_slot() { return t_cache_slot; }
 
     /**
      * Installs the process-wide hook invoked with a thread's non-null
-     * cache slot when that logical thread exits (here: from a
-     * thread_local destructor).  Idempotent; last writer wins.
+     * cache slot when that logical thread exits.  Idempotent; last
+     * writer wins.  Returns false when no exit notification can be
+     * arranged (out of pthread keys); the caller must then leave the
+     * slot unused, since nothing would flush it.
      */
-    static void set_thread_exit_hook(void (*hook)(void*));
+    static bool set_thread_exit_hook(void (*hook)(void*));
+
+    /**
+     * Arms the exit hook for the calling thread; called whenever a
+     * node joins the thread's chain.  The hook runs from a pthread key
+     * destructor: a key below PTHREAD_KEY_2NDLEVEL_SIZE (32) lives in
+     * the thread descriptor, so arming allocates nothing, unlike a
+     * thread_local with a destructor, whose registration callocs —
+     * inside the LD_PRELOAD shim's wrappers, from the never-reused
+     * bootstrap arena, once per thread.
+     */
+    static void arm_thread_exit_hook();
+
+  private:
+    /// Initial-exec: a plain %fs-relative load, and no lazy TLS
+    /// allocation (the dynamic model may malloc on first touch).
+    static inline __thread void* t_cache_slot
+        __attribute__((tls_model("initial-exec"))) = nullptr;
 };
 
 }  // namespace hoard

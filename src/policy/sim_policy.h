@@ -141,12 +141,19 @@ struct SimPolicy
         return sim::Machine::current()->thread_cache_slot();
     }
 
-    /** @see NativePolicy::set_thread_exit_hook */
-    static void
+    /** @see NativePolicy::set_thread_exit_hook — a fiber body always
+        returns through the machine, so the hook can always fire. */
+    static bool
     set_thread_exit_hook(void (*hook)(void*))
     {
         sim::Machine::set_thread_exit_hook(hook);
+        return true;
     }
+
+    /** @see NativePolicy::arm_thread_exit_hook — nothing to arm: the
+        machine runs the hook at every fiber exit with a non-null
+        slot. */
+    static void arm_thread_exit_hook() {}
 };
 
 }  // namespace hoard

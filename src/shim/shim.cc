@@ -44,12 +44,6 @@
  *    diagnostic to count-and-leak without a rebuild.  The shim
  *    additionally rejects invalid alignment arguments with errno
  *    rather than letting them reach the allocator's internal aborts.
- *
- * Known bounds (documented, not bugs): allocator-internal metadata
- * allocated while a wrapper is on the stack (magazine nodes, ~1-2 KiB
- * per new thread) also lands in the bump arena and is never
- * reclaimed, so the 8 MiB arena supports several thousand thread
- * creations; exceed it and malloc fails cleanly with ENOMEM.
  */
 
 #include <cerrno>

@@ -13,11 +13,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "core/hoard_allocator.h"
+#include "core/facade.h"
 #include "core/superblock.h"
-#include "policy/native_policy.h"
 
 namespace hoard {
 namespace {
@@ -205,6 +205,82 @@ TEST(HardenedFreeDeathTest, FatalPolicyAbortsOnWildFree)
         },
         "bad free \\(wild\\)");
 }
+
+/**
+ * The configurations the back-to-back double-free probe must hold
+ * under: "paper" (Config defaults; the free reaches free_block's
+ * under-lock probe) and "shipped" (shipped_config(); the free parks in
+ * the thread's magazine, and magazine_push probes the magazine head).
+ */
+class HardenedFreeConfigs : public ::testing::TestWithParam<const char*>
+{
+  protected:
+    static Config
+    config()
+    {
+        Config config = std::string(GetParam()) == "shipped"
+                            ? shipped_config()
+                            : Config();
+        config.heap_count = 2;
+        return config;
+    }
+};
+
+using HardenedFreeConfigsDeathTest = HardenedFreeConfigs;
+
+TEST_P(HardenedFreeConfigs, BackToBackDoubleFreeIsCountedAndLeaked)
+{
+    Config config = this->config();
+    config.on_bad_free = Config::BadFreePolicy::warn;
+    HoardAllocator<NativePolicy> allocator(config);
+    void* p = allocator.allocate(48);
+    ASSERT_NE(p, nullptr);
+    allocator.deallocate(p);
+
+    const std::uint64_t frees = allocator.stats().frees.get();
+    allocator.deallocate(p);  // the bug under test
+    EXPECT_EQ(allocator.stats().bad_free_double.get(), 1u);
+    EXPECT_EQ(allocator.stats().frees.get(), frees);
+
+    // Leaked, not freed twice: the block comes back at most once.
+    void* a = allocator.allocate(48);
+    void* b = allocator.allocate(48);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_NE(a, b);
+    allocator.deallocate(a);
+    allocator.deallocate(b);
+    EXPECT_EQ(allocator.stats().bad_free_double.get(), 1u);
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST_P(HardenedFreeConfigsDeathTest, FatalPolicyAbortsOnBackToBackDoubleFree)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Config config = this->config();
+    ASSERT_EQ(config.on_bad_free, Config::BadFreePolicy::fatal);
+    EXPECT_DEATH(
+        {
+            HoardAllocator<NativePolicy> allocator(config);
+            void* p = allocator.allocate(48);
+            allocator.deallocate(p);
+            allocator.deallocate(p);
+        },
+        "bad free \\(double\\)");
+}
+
+std::string
+config_name(const ::testing::TestParamInfo<const char*>& param)
+{
+    return param.param;
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, HardenedFreeConfigs,
+                         ::testing::Values("paper", "shipped"),
+                         config_name);
+INSTANTIATE_TEST_SUITE_P(Configs, HardenedFreeConfigsDeathTest,
+                         ::testing::Values("paper", "shipped"),
+                         config_name);
 
 }  // namespace
 }  // namespace hoard

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -83,6 +84,26 @@ TEST(ThreadCache, CacheIsBounded)
     std::size_t cache_slots = 2 * 4;  // 2 * heap_count
     EXPECT_LE(allocator.stats().cached_bytes.current(),
               cache_slots * cap * 128);
+
+    // Large blocks are capped in bytes before the block cap binds: a
+    // thread that only frees parks about kMagazineClassBytes per class
+    // (at least kMagazineMinBlocks blocks), not 64 large blocks.
+    NativeHoard large(cached_config(64));
+    const std::size_t size = 3000;
+    const std::size_t block =
+        large.size_classes().block_size(large.size_classes().class_for(size));
+    std::vector<void*> big;
+    for (int i = 0; i < 200; ++i)
+        big.push_back(large.allocate(size));
+    for (void* p : big)
+        large.deallocate(p);
+    // The snapshot sums node occupancy, exact while the owner is idle
+    // (the cached_bytes gauge lags by a partial batch).
+    const std::size_t cached = large.take_snapshot().cached_bytes;
+    EXPECT_GT(cached, 0u);
+    EXPECT_LE(cached, std::max(detail::kMagazineMinBlocks * block,
+                               detail::kMagazineClassBytes + block - 1));
+    EXPECT_LT(cached, 64 * block);
 }
 
 TEST(ThreadCache, SpillKeepsEverythingReachable)

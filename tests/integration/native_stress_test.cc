@@ -3,7 +3,9 @@
  * Native multithreaded stress: the ownership-change race (paper §3.4),
  * producer/consumer pipelines over real threads, and sustained mixed
  * churn with invariant checks — the tests that gate the allocator's
- * claim to be a real thread-safe malloc.
+ * claim to be a real thread-safe malloc.  Each case starts from
+ * shipped_config(), the configuration libhoard.so runs (magazines on),
+ * and varies only the heap count and the knob it stresses.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +20,7 @@
 
 #include "common/memutil.h"
 #include "common/rng.h"
-#include "core/hoard_allocator.h"
-#include "policy/native_policy.h"
+#include "core/facade.h"
 
 namespace hoard {
 namespace {
@@ -31,7 +32,7 @@ TEST(NativeStress, OwnershipChangeRace)
     // Thread A mass-frees into heap X, constantly triggering transfers
     // to the global heap, while thread B frees blocks from the same
     // superblocks — the deadlock/lost-update surface of the free path.
-    Config config;
+    Config config = shipped_config();
     config.heap_count = 4;
     config.slack_superblocks = 0;  // maximize transfer frequency
     NativeHoard allocator(config);
@@ -65,7 +66,7 @@ TEST(NativeStress, RealProducerConsumerQueue)
 {
     // A genuine two-thread pipeline (not the rebinding trick): the
     // producer allocates, the consumer frees, through a mutex queue.
-    Config config;
+    Config config = shipped_config();
     config.heap_count = 4;
     NativeHoard allocator(config);
 
@@ -128,7 +129,7 @@ TEST(NativeStress, RealProducerConsumerQueue)
 
 TEST(NativeStress, ManyThreadsMixedSizes)
 {
-    Config config;
+    Config config = shipped_config();
     config.heap_count = 8;
     NativeHoard allocator(config);
     const int kThreads = 8;
@@ -177,7 +178,7 @@ TEST(NativeStress, ThreadChurnManyGenerations)
 {
     // Threads are born, allocate, die leaving live blocks; successors
     // free their predecessors' blocks — long-running-server shape.
-    Config config;
+    Config config = shipped_config();
     config.heap_count = 4;
     NativeHoard allocator(config);
 
