@@ -25,8 +25,11 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/env.h"
 
 namespace hoard {
 namespace cli {
@@ -263,14 +266,10 @@ class Parser
     static bool
     parse_u64(const char* s, std::uint64_t& out)
     {
-        if (s[0] == '-')
-            return false;  // strtoull silently negates
-        char* end = nullptr;
-        errno = 0;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0' || errno == ERANGE)
+        std::optional<std::uint64_t> v = detail::parse_decimal(s);
+        if (!v)
             return false;
-        out = v;
+        out = *v;
         return true;
     }
 

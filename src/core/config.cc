@@ -34,10 +34,6 @@ Config::validate() const
         HOARD_FATAL("min_block_bytes (%zu) too large for superblock (%zu)",
                     min_block_bytes, superblock_bytes);
     }
-    if (global_fetch_batch < 1 || global_fetch_batch > 1024) {
-        HOARD_FATAL("global_fetch_batch (%zu) must be in [1, 1024]",
-                    global_fetch_batch);
-    }
     if (thread_cache_batch > 0 &&
         thread_cache_batch > thread_cache_blocks) {
         HOARD_FATAL("thread_cache_batch (%u) must not exceed"

@@ -4,7 +4,9 @@
  *
  * Defaults reproduce the paper's configuration: S = 8 KiB superblocks,
  * empty fraction f = 1/4, slack K = 0, geometric size classes with base
- * b = 1.2.  Every knob here is swept by an ablation bench (DESIGN.md §6).
+ * b = 1.2.  The algorithm's knobs (S, f, K, t and the thread cache) are
+ * each swept by an ablation bench (DESIGN.md §6); the rest arm
+ * observability, profiling, purging and the hardened free path.
  */
 
 #ifndef HOARD_CORE_CONFIG_H_
@@ -12,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace hoard {
 
@@ -75,28 +76,6 @@ struct Config
      * additional).  Threads map to heap 1 + (tid mod P).
      */
     int heap_count = 16;
-
-    /**
-     * Completely-empty superblocks the global heap caches before
-     * returning memory to the OS.  The paper's Hoard retains them; set a
-     * finite limit to trade fragmentation for syscalls (ABL benches).
-     */
-    std::size_t empty_cache_limit = std::numeric_limits<std::size_t>::max();
-
-    /**
-     * Superblocks a cold per-processor heap may pull from its size
-     * class's global bin in one fetch (>= 1).  A heap that misses
-     * locally is usually about to miss again — its magazine refill
-     * drains whatever it fetched — so batching amortizes the bin lock
-     * and the transfer latency over several superblocks.  The cost is a
-     * matching widening of the emptiness-invariant allowance: a heap
-     * may now hold up to this many not-yet-used superblocks per active
-     * size class (check_heap and HeapSnapshot::emptiness_ok account for
-     * it), so the O(1) blowup bound gains a constant factor.  1 restores
-     * the paper's one-superblock-per-miss behaviour; ABL-fetch sweeps
-     * the axis.
-     */
-    std::size_t global_fetch_batch = 4;
 
     /**
      * Extension (not in the paper; the direction later allocators —
@@ -240,10 +219,10 @@ struct Config
     /**
      * Age threshold for the purge pass, in policy time (steady-clock
      * nanoseconds under NativePolicy, virtual cycles under SimPolicy):
-     * an empty superblock idle in the reuse cache or a global band-0
-     * bin for at least this long has its payload pages decommitted
-     * (madvise) while the span stays mapped and formatted for O(1)
-     * revival.  0 (the default) means age alone never triggers a
+     * an empty superblock idle in the reuse cache for at least this
+     * long has its payload pages decommitted (madvise) while the span
+     * stays mapped and formatted for O(1) revival.  0 (the default)
+     * means age alone never triggers a
      * purge.  The purge pass is armed when this or rss_target_bytes is
      * nonzero; HOARD_PURGE_AGE under the facade.
      */

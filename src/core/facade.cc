@@ -9,6 +9,7 @@
 #include <ostream>
 #include <thread>
 
+#include "common/env.h"
 #include "common/mathutil.h"
 #include "obs/trace_export.h"
 
@@ -17,7 +18,7 @@ namespace hoard {
 namespace {
 
 /// Largest superblock HOARD_SUPERBLOCK_BYTES may select (16 MiB).
-constexpr unsigned long long kMaxEnvSuperblock = 1ull << 24;
+constexpr std::uint64_t kMaxEnvSuperblock = std::uint64_t{1} << 24;
 
 }  // namespace
 
@@ -37,11 +38,14 @@ global_allocator()
     // Leaked singleton: outlives all static destructors that might free.
     static auto* instance = [] {
         Config config = shipped_config();
+        // Every knob reads through the common/env.h grammar: an env
+        // typo leaves the default in place rather than aborting every
+        // process on the machine.
         // HOARD_HARDENED_FREE=0 restores the trusting free path;
         // HOARD_BAD_FREE=warn counts-and-leaks instead of aborting —
         // both tunable without a rebuild, like HOARD_OBS.
-        if (const char* v = std::getenv("HOARD_HARDENED_FREE"))
-            config.hardened_free = v[0] != '0';
+        if (auto on = detail::env_flag("HOARD_HARDENED_FREE"))
+            config.hardened_free = *on;
         if (const char* v = std::getenv("HOARD_BAD_FREE")) {
             if (std::strcmp(v, "warn") == 0)
                 config.on_bad_free = Config::BadFreePolicy::warn;
@@ -51,77 +55,43 @@ global_allocator()
         // HOARD_PROFILE_RATE=<mean bytes between samples> arms the
         // sampling heap profiler (docs/PROFILING.md); "1" samples
         // every allocation, unset/0 keeps it off.
-        if (const char* v = std::getenv("HOARD_PROFILE_RATE")) {
-            char* end = nullptr;
-            unsigned long long rate = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.profile_sample_rate =
-                    static_cast<std::size_t>(rate);
-        }
-        // HOARD_LATENCY=1 arms the per-path latency histograms
-        // (obs::latency_env_enabled is also checked in the allocator
-        // constructor, so the config knob here is belt-and-braces);
-        // HOARD_LATENCY_PERIOD tunes the fast-path timing sample
-        // period (1 = time every op), and HOARD_LATENCY_OUTLIER sets
-        // the outlier-trace threshold in cycles (docs/OBSERVABILITY.md).
-        if (obs::latency_env_enabled())
-            config.latency_histograms = true;
-        if (const char* v = std::getenv("HOARD_LATENCY_PERIOD")) {
-            char* end = nullptr;
-            unsigned long long period = std::strtoull(v, &end, 10);
-            if (end != v && period >= 1 &&
-                period <= std::numeric_limits<std::uint32_t>::max())
-                config.latency_sample_period =
-                    static_cast<std::uint32_t>(period);
-        }
-        if (const char* v = std::getenv("HOARD_LATENCY_OUTLIER")) {
-            char* end = nullptr;
-            unsigned long long cycles = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.latency_outlier_cycles = cycles;
-        }
+        if (auto rate = detail::env_number("HOARD_PROFILE_RATE"))
+            config.profile_sample_rate = static_cast<std::size_t>(*rate);
+        // HOARD_LATENCY=1 (read by the allocator constructor) arms the
+        // per-path latency histograms; HOARD_LATENCY_PERIOD tunes the
+        // fast-path timing sample period (1 = time every op), and
+        // HOARD_LATENCY_OUTLIER sets the outlier-trace threshold in
+        // cycles (docs/OBSERVABILITY.md).
+        if (auto period = detail::env_number("HOARD_LATENCY_PERIOD");
+            period && *period >= 1 &&
+            *period <= std::numeric_limits<std::uint32_t>::max())
+            config.latency_sample_period =
+                static_cast<std::uint32_t>(*period);
+        if (auto cycles = detail::env_number("HOARD_LATENCY_OUTLIER"))
+            config.latency_outlier_cycles = *cycles;
         // HOARD_SUPERBLOCK_BYTES=<pow2 in [1 KiB, 16 MiB]> overrides S
         // without a rebuild (macro_rss runs the shim at 64 KiB so a
         // purged superblock gives back everything but its header
-        // page).  Invalid values are ignored rather than validated
-        // fatally — an env typo must not abort every process on the
-        // machine.  The cap keeps the size-class lookup table (two
+        // page).  The cap keeps the size-class lookup table (two
         // bytes per 8 B of class range, built while the shim still
         // serves from its bootstrap arena) well inside that arena.
-        if (const char* v = std::getenv("HOARD_SUPERBLOCK_BYTES")) {
-            char* end = nullptr;
-            unsigned long long bytes = std::strtoull(v, &end, 10);
-            if (end != v && bytes >= 1024 &&
-                bytes <= kMaxEnvSuperblock &&
-                (bytes & (bytes - 1)) == 0 &&
-                config.min_block_bytes < bytes / 4)
-                config.superblock_bytes =
-                    static_cast<std::size_t>(bytes);
-        }
+        if (auto bytes = detail::env_number("HOARD_SUPERBLOCK_BYTES");
+            bytes && *bytes >= 1024 && *bytes <= kMaxEnvSuperblock &&
+            detail::is_pow2(*bytes) &&
+            config.min_block_bytes < *bytes / 4)
+            config.superblock_bytes = static_cast<std::size_t>(*bytes);
         // HOARD_RSS_TARGET=<bytes> and HOARD_PURGE_AGE=<ns> arm the
         // purge pass (docs/SHIM.md): automatic madvise decommit of
         // idle empty superblocks, by committed-bytes target and/or
         // idle age.  HOARD_PURGE_INTERVAL=<ns> tunes the minimum gap
         // between automatic passes.
-        if (const char* v = std::getenv("HOARD_RSS_TARGET")) {
-            char* end = nullptr;
-            unsigned long long bytes = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.rss_target_bytes =
-                    static_cast<std::size_t>(bytes);
-        }
-        if (const char* v = std::getenv("HOARD_PURGE_AGE")) {
-            char* end = nullptr;
-            unsigned long long ticks = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.purge_age_ticks = ticks;
-        }
-        if (const char* v = std::getenv("HOARD_PURGE_INTERVAL")) {
-            char* end = nullptr;
-            unsigned long long ticks = std::strtoull(v, &end, 10);
-            if (end != v && ticks >= 1)
-                config.purge_interval_ticks = ticks;
-        }
+        if (auto bytes = detail::env_number("HOARD_RSS_TARGET"))
+            config.rss_target_bytes = static_cast<std::size_t>(*bytes);
+        if (auto ticks = detail::env_number("HOARD_PURGE_AGE"))
+            config.purge_age_ticks = *ticks;
+        if (auto ticks = detail::env_number("HOARD_PURGE_INTERVAL");
+            ticks && *ticks >= 1)
+            config.purge_interval_ticks = *ticks;
         // HOARD_TIMELINE=<path> arms the gauge time-series sampler so
         // the LD_PRELOAD shim can dump the v6 timeline there at exit
         // (docs/SHIM.md); the 1 ms default interval keeps a long run's

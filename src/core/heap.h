@@ -209,13 +209,13 @@ struct HoardHeap : HeapBase<Policy>
 };
 
 /**
- * One shard of the global heap: the superblocks of a single size class,
- * under their own lock.  fetch_from_global and maybe_release_superblock
- * for different classes therefore never contend.  A superblock that
- * empties *inside* its bin stays there (band 0), still formatted for
- * the class, so the next same-class fetch skips the re-carve; empties
- * arriving from per-processor heaps go to the lock-free cross-class
- * reuse cache instead, where any class can claim them.
+ * One shard of the global heap: the partial superblocks of a single
+ * size class, under their own lock.  fetch_from_global and
+ * maybe_release_superblock for different classes therefore never
+ * contend.  No bin holds an empty superblock: one that empties inside
+ * its bin leaves for the lock-free reuse cache, like every empty
+ * arriving from a per-processor heap, and the cache's per-class stacks
+ * hand it back still formatted to the next same-class fetch.
  */
 template <typename Policy>
 struct GlobalBin : HeapBase<Policy>
@@ -224,7 +224,8 @@ struct GlobalBin : HeapBase<Policy>
 
     const int size_class;
 
-    /** Fullness-group lists (band 0 emptiest, kFullGroup full). */
+    /** Fullness-group lists (band 0 emptiest partials, kFullGroup
+        full). */
     SuperblockList groups[Superblock::kGroupCount];
 
     /**

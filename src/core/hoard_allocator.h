@@ -18,13 +18,13 @@
  * structures must scale too, PAPERS.md): one GlobalBin per size class,
  * each with its own lock and an approximate occupancy counter so
  * fetchers skip empty classes without locking; a lock-free Treiber
- * cache (superblock_cache.h) holds the completely-empty superblocks
- * any class may claim; transfers and fetches move superblocks in
- * batches (Config::global_fetch_batch) so one lock round trip lands or
- * pulls several; and the huge-object list is striped across
- * kHugeStripes locks.  Together heap 0 is a logical construct — u_0 /
- * a_0 are sums over the bins plus the cache — and no single mutex
- * serializes the slow path.
+ * cache (superblock_cache.h), keyed by size class, is the one home of
+ * every completely-empty superblock, so bins hold partials only;
+ * transfers and fetches move superblocks in batches (kGlobalFetchBatch)
+ * so one lock round trip lands or pulls several; and the huge-object
+ * list is striped across kHugeStripes locks.  Together heap 0 is a
+ * logical construct — u_0 / a_0 are sums over the bins plus the cache
+ * — and no single mutex serializes the slow path.
  *
  * The class is templated on an execution policy (NativePolicy /
  * SimPolicy) so the identical algorithm runs under real threads and on
@@ -118,6 +118,17 @@ class HoardAllocator final : public Allocator
 
     /** Lock stripes for the huge-object list. Power of two. */
     static constexpr std::size_t kHugeStripes = 8;
+
+    /**
+     * Superblocks a cold per-processor heap may pull from its size
+     * class's global bin in one fetch.  A heap that misses locally is
+     * usually about to miss again, so batching amortizes the bin lock
+     * over several superblocks; the emptiness-invariant allowance
+     * widens to match (check_heap, HeapSnapshot::emptiness_ok).  Only
+     * a non-empty bin is batched from, and bins hold partials only,
+     * which the default release_threshold = 1 never transfers.
+     */
+    static constexpr std::size_t kGlobalFetchBatch = 4;
 
     explicit HoardAllocator(
         const Config& config = Config(),
@@ -351,8 +362,8 @@ class HoardAllocator final : public Allocator
     /**
      * Best-effort memory release back to the OS: flushes the calling
      * thread's own magazines, settles every remote-free queue, then
-     * unmaps every completely-empty superblock from every heap
-     * (including the global heap's empty cache).  Returns the bytes
+     * unmaps every completely-empty superblock from every heap and
+     * from the global heap's reuse cache.  Returns the bytes
      * unmapped.  This is the reclaim step of the OOM retry path and
      * doubles as a malloc_trim-style API for long-running servers
      * reacting to memory pressure.  Takes no lock on entry; heap locks
@@ -388,25 +399,6 @@ class HoardAllocator final : public Allocator
                 }
             }
         }
-        // Global bins retain their own class's empties in band 0;
-        // scavenge those before draining the cross-class cache.
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            auto& group = bin.groups[0];
-            Superblock* sb = group.front();
-            while (sb != nullptr) {
-                Superblock* next = group.next(sb);
-                if (sb->empty()) {
-                    bin.unlink(sb, 0);
-                    bin.held -= sb->span_bytes();
-                    bin_empties_.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                    released += release_to_provider(sb);
-                }
-                sb = next;
-            }
-        }
         Superblock* chain = reuse_cache_.drain();
         while (chain != nullptr) {
             Superblock* next =
@@ -419,8 +411,8 @@ class HoardAllocator final : public Allocator
 
     /**
      * Purge pass: decommits the payload pages of idle completely-empty
-     * superblocks (the reuse cache plus the global bins' retained
-     * band-0 empties) via the provider's purge(), keeping each span
+     * superblocks (the reuse cache, their one home in the global heap)
+     * via the provider's purge(), keeping each span
      * mapped and its header formatted for O(1) revival.  Milder than
      * release_free_memory() — nothing is unmapped, the next same-class
      * fetch costs one unpurge() gauge move instead of a map syscall.
@@ -429,8 +421,8 @@ class HoardAllocator final : public Allocator
      * committed_bytes must still exceed Config::rss_target_bytes
      * (re-read per superblock, so targeting stops at the line).
      * Serialized by purge_mutex_; safe against concurrent allocation
-     * (cache entries are detached while marked, bin entries are marked
-     * under their bin's lock).  Returns the bytes decommitted.
+     * (cache entries are detached while marked).  Returns the bytes
+     * decommitted.
      */
     std::size_t
     purge(bool force = false)
@@ -450,10 +442,10 @@ class HoardAllocator final : public Allocator
                        config_.rss_target_bytes;
         };
         std::size_t released = 0;
-        // The cross-class reuse cache: detach everything (so no popper
-        // can adopt a half-purged span), purge the eligible, push all
-        // back.  Pushing re-publishes purged spans; the fetch path
-        // revives them before first use.
+        // Detach the whole reuse cache (so no popper can adopt a
+        // half-purged span), purge the eligible, push all back.
+        // Pushing re-publishes purged spans; the fetch path revives
+        // them before first use.
         Superblock* chain = reuse_cache_.drain();
         while (chain != nullptr) {
             Superblock* next =
@@ -462,19 +454,6 @@ class HoardAllocator final : public Allocator
                 released += purge_superblock(chain);
             reuse_cache_.push(chain);
             chain = next;
-        }
-        // Class-retentive empties inside the global bins: band 0 only
-        // (the one band that can hold used == 0 spans), under each
-        // bin's own lock.
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> bguard(bin.mutex);
-            auto& group = bin.groups[0];
-            for (Superblock* sb = group.front(); sb != nullptr;
-                 sb = group.next(sb)) {
-                if (sb->empty() && eligible(sb))
-                    released += purge_superblock(sb);
-            }
         }
         stats_.purge_passes.add();
         return released;
@@ -644,11 +623,8 @@ class HoardAllocator final : public Allocator
         drain_all_remote();
         for (auto& heap : heaps_)
             check_heap(*heap);
-        std::size_t bin_empties = 0;
         for (auto& bin : global_bins_)
-            bin_empties += check_bin(*bin);
-        HOARD_CHECK(bin_empties ==
-                    bin_empties_.load(std::memory_order_relaxed));
+            check_bin(*bin);
         return true;
     }
 
@@ -680,7 +656,7 @@ class HoardAllocator final : public Allocator
         snap.release_threshold = config_.release_threshold;
         snap.slack_superblocks = config_.slack_superblocks;
         snap.heap_count = config_.heap_count;
-        snap.global_fetch_batch = config_.global_fetch_batch;
+        snap.global_fetch_batch = kGlobalFetchBatch;
         // heaps[0] is the synthesized global heap (the per-class bins
         // plus the reuse cache); heaps[i], i >= 1, per-processor heap i.
         snap.heaps.resize(heaps_.size() + 1);
@@ -2130,7 +2106,8 @@ class HoardAllocator final : public Allocator
         }
         void* block = sb->block_start(p);
         // Read before freeing: once the block lands, an emptied
-        // superblock can be unmapped (empty_cache_limit).
+        // superblock can be retired to the reuse cache and reformatted
+        // by a concurrent fetch.
         const std::size_t block_bytes = sb->block_bytes();
         for (;;) {
             Base* home = static_cast<Base*>(sb->owner());
@@ -2308,11 +2285,12 @@ class HoardAllocator final : public Allocator
      * remote queues settled, so the sums are exact: in_use is heap u_i
      * plus bin u_i plus huge user bytes; held adds the reuse cache's
      * spans; committed is held minus whatever the purge pass has
-     * decommitted (summed span-by-span over the only two places purged
-     * superblocks live).  The in-use book itself stays sharded: the
-     * difference between the recount and the folded shards (a dead
-     * thread caught mid-update of a magazine or shared shard) is
-     * booked on the shared shard, then everything is folded again.
+     * decommitted (summed span-by-span over the reuse cache, the only
+     * place purged superblocks live).  The in-use book itself stays
+     * sharded: the difference between the recount and the folded
+     * shards (a dead thread caught mid-update of a magazine or shared
+     * shard) is booked on the shared shard, then everything is folded
+     * again.
      * Event counters and requested_bytes are left alone — they are
      * diagnostics, not reconciled.
      */
@@ -2329,11 +2307,6 @@ class HoardAllocator final : public Allocator
         for (auto& bin : global_bins_) {
             in_use += bin->in_use;
             held += bin->held;
-            // Only band 0 can hold purged (empty) superblocks.
-            auto& group = bin->groups[0];
-            for (Superblock* sb = group.front(); sb != nullptr;
-                 sb = group.next(sb))
-                purged += sb->purged_bytes();
         }
         // Walk the reuse cache (single-threaded child: the
         // drain/re-push pair cannot race anyone) so purged spans are
@@ -2466,12 +2439,9 @@ class HoardAllocator final : public Allocator
     /**
      * Lands one (whole) free block in global bin @p bin, which owns
      * @p sb and whose lock the caller holds.  A superblock that empties
-     * here *stays in the bin* (band 0), class-retentive: the next
-     * same-class fetch takes it back formatted, with no re-carve.  Only
-     * empties born in per-processor heaps — class-neutral capital —
-     * go to the lock-free cross-class reuse cache.  Retained empties
-     * count against Config::empty_cache_limit together with the cache;
-     * past the limit the superblock is unmapped instead.
+     * here leaves the bin for the reuse cache, the path heap-born
+     * empties take, so bins hold partials only; the class-keyed cache
+     * still hands it back formatted to the next same-class fetch.
      */
     void
     free_into_bin_locked(Bin& bin, Superblock* sb, void* block)
@@ -2481,19 +2451,11 @@ class HoardAllocator final : public Allocator
         Policy::touch(sb, sizeof(Superblock), true);
         sb->deallocate_block(block);
         bin.in_use -= sb->block_bytes();
-        if (sb->empty() &&
-            reuse_cache_.size() +
-                    bin_empties_.load(std::memory_order_relaxed) >=
-                config_.empty_cache_limit) {
+        if (sb->empty()) {
             bin.unlink(sb, old_group);
             bin.held -= sb->span_bytes();
-            release_to_provider(sb);
+            retire_empty(sb);
             return;
-        }
-        if (sb->empty()) {
-            bin_empties_.fetch_add(1, std::memory_order_relaxed);
-            if (purge_armed_)
-                sb->set_retire_tick(Policy::timestamp());
         }
         bin.relink(sb, old_group);
     }
@@ -2585,18 +2547,16 @@ class HoardAllocator final : public Allocator
      * Pulls superblocks of @p cls from the global heap for @p dest,
      * whose lock the caller holds.  The class's bin is probed first —
      * without its lock, via the approximate occupancy counter — and a
-     * hit pulls up to Config::global_fetch_batch superblocks (partials
-     * fullest-first, then the bin's retained empties, all already
-     * formatted for @p cls) under one bin-lock acquisition: the cold
-     * heap is about to miss repeatedly, so batching amortizes the
-     * round trip.  On a miss the lock-free reuse cache supplies a
-     * recycled empty superblock, reformatted if its last class
-     * differs.  Each handover happens
-     * under the lock of the side that still owns escaped blocks (bin
-     * for partials; an empty superblock has none), so a concurrent
-     * free never sees a null or stale owner it could act on.  Returns
-     * the fullest pulled superblock, or nullptr when the global heap
-     * has nothing — the caller then maps fresh memory.
+     * hit pulls up to kGlobalFetchBatch partial superblocks
+     * (fullest-first) under one bin-lock acquisition: the cold heap is
+     * about to miss repeatedly, so batching amortizes the round trip.
+     * On a miss the lock-free reuse cache supplies a recycled empty
+     * superblock, reformatted if its last class differs.  Each
+     * handover happens under the lock of the side that still owns
+     * escaped blocks (bin for partials; an empty superblock has none),
+     * so a concurrent free never sees a null or stale owner it could
+     * act on.  Returns the fullest pulled superblock, or nullptr when
+     * the global heap has nothing — the caller then maps fresh memory.
      */
     Superblock*
     fetch_from_global(int cls, Heap& dest)
@@ -2606,8 +2566,8 @@ class HoardAllocator final : public Allocator
         if (bin.occupancy.load(std::memory_order_relaxed) != 0) {
             std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
             drain_remote_locked(bin);
-            for (std::size_t pulled = 0;
-                 pulled < config_.global_fetch_batch; ++pulled) {
+            for (std::size_t pulled = 0; pulled < kGlobalFetchBatch;
+                 ++pulled) {
                 int probes = 0;
                 Superblock* sb = bin.find_allocatable(&probes);
                 for (int i = 0; i < probes; ++i)
@@ -2617,10 +2577,6 @@ class HoardAllocator final : public Allocator
                 bin.unlink(sb, sb->fullness_group());
                 bin.held -= sb->span_bytes();
                 bin.in_use -= sb->used_bytes();
-                if (sb->empty())
-                    bin_empties_.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                revive_superblock(sb);
                 stats_.global_fetches.add();
                 adopt(dest, sb);
                 record_event(obs::EventKind::fetch_from_global,
@@ -2685,19 +2641,14 @@ class HoardAllocator final : public Allocator
     }
 
     /**
-     * Retires unlinked, completely-empty @p sb: pushed onto the
-     * lock-free reuse cache, or unmapped when the cache is over its
-     * limit.  The owner is cleared first — safe because an empty
+     * Retires unlinked, completely-empty @p sb onto the lock-free
+     * reuse cache.  The owner is cleared first — safe because an empty
      * superblock has no escaped blocks, so no free can race the store.
      * Callers hold no particular lock (the push is lock-free).
      */
     void
     retire_empty(Superblock* sb)
     {
-        if (reuse_cache_.size() >= config_.empty_cache_limit) {
-            release_to_provider(sb);
-            return;
-        }
         sb->set_owner(nullptr);
         if (purge_armed_)
             sb->set_retire_tick(Policy::timestamp());
@@ -2714,7 +2665,7 @@ class HoardAllocator final : public Allocator
      * Decommits one empty superblock's payload (everything past the
      * page-aligned header) through the provider, moving its bytes from
      * the committed gauge to the purged gauge.  The caller owns @p sb
-     * exclusively (detached from the cache, or under its bin's lock).
+     * exclusively (detached from the cache).
      * Returns the bytes decommitted — 0 when the span is too small to
      * have a whole payload page or the provider refused (then nothing
      * changed and the superblock is whole again).
@@ -3019,7 +2970,7 @@ class HoardAllocator final : public Allocator
         // t >= f) or because no superblock is t-empty, i.e. every
         // superblock has used > (1-t)*capacity.  The allowance
         // covers (a) bytes a superblock cannot carve into blocks
-        // (header + tail remainder); (b) up to global_fetch_batch
+        // (header + tail remainder); (b) up to kGlobalFetchBatch
         // *fetched* superblocks per active size class — enforcement
         // runs on free only (paper Figure 3), and an allocation may
         // batch-pull that many partial superblocks per class from the
@@ -3030,7 +2981,7 @@ class HoardAllocator final : public Allocator
         const std::size_t k_slack = config_.slack_superblocks * S + S;
         const std::size_t allowance =
             uncarved +
-            (active_classes * config_.global_fetch_batch + 1) * S;
+            (active_classes * kGlobalFetchBatch + 1) * S;
         bool ok =
             heap.in_use + k_slack >= heap.held ||
             static_cast<double>(heap.in_use) >=
@@ -3043,17 +2994,15 @@ class HoardAllocator final : public Allocator
     }
 
     /** Counter/list consistency for one global bin; takes its lock.
-        Bins hold superblocks of their own class only — partials plus
-        retained empties (band 0) — and the lock-free occupancy hint
-        is exact at quiescence.  Returns the retained-empty count so
-        check_invariants can reconcile the bin_empties_ gauge. */
-    std::size_t
+        Bins hold partial superblocks of their own class only (an empty
+        one belongs in the reuse cache), and the lock-free occupancy
+        hint is exact at quiescence. */
+    void
     check_bin(Bin& bin)
     {
         std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
         std::size_t used_sum = 0;
         std::size_t held_sum = 0;
-        std::size_t empties = 0;
         std::uint32_t count = 0;
         for (int g = 0; g < Superblock::kGroupCount; ++g) {
             for (Superblock* sb = bin.groups[g].front(); sb != nullptr;
@@ -3062,8 +3011,7 @@ class HoardAllocator final : public Allocator
                 HOARD_CHECK(sb->fullness_group() == g);
                 HOARD_CHECK(sb->owner() == static_cast<Base*>(&bin));
                 HOARD_CHECK(sb->used() <= sb->capacity());
-                if (sb->empty())
-                    ++empties;
+                HOARD_CHECK(!sb->empty());
                 used_sum += sb->used_bytes();
                 held_sum += sb->span_bytes();
                 ++count;
@@ -3073,7 +3021,6 @@ class HoardAllocator final : public Allocator
         HOARD_CHECK(held_sum == bin.held);
         HOARD_CHECK(count ==
                     bin.occupancy.load(std::memory_order_relaxed));
-        return empties;
     }
 
     /// One stripe of the huge-object list: huge registrations hash to
@@ -3121,16 +3068,11 @@ class HoardAllocator final : public Allocator
     std::vector<std::unique_ptr<Heap>> heaps_;
     /// The sharded global heap: one bin (own lock) per size class.
     std::vector<std::unique_ptr<Bin>> global_bins_;
-    /// Lock-free cache of completely-empty superblocks: one Treiber
-    /// stack per size class, so a same-class pop recycles a superblock
-    /// already formatted for it; cross-class steals reformat.
+    /// Lock-free cache of completely-empty superblocks, the only place
+    /// the global heap keeps them: one Treiber stack per size class, so
+    /// a same-class pop recycles a superblock already formatted for it;
+    /// cross-class steals reformat.
     SuperblockCache<Policy> reuse_cache_;
-    /// Empty superblocks retained inside global bins (class-local, so
-    /// not in the cache).  Updated under the owning bin's lock but
-    /// atomic because distinct bin locks do not order each other;
-    /// together with the cache size it is bounded by
-    /// Config::empty_cache_limit.
-    std::atomic<std::size_t> bin_empties_{0};
     /// Guards cache_nodes_ and serializes magazine flushes against each
     /// other (never against the owners' lock-free fast paths).
     typename Policy::Mutex cache_mutex_;

@@ -323,8 +323,7 @@ class Superblock
     std::size_t purged_bytes() const { return purged_bytes_; }
 
     /** Policy-time stamp of when this superblock went idle (retired to
-        the reuse cache or went empty in a global bin); the purge pass
-        ages against it. */
+        the reuse cache); the purge pass ages against it. */
     void set_retire_tick(std::uint64_t tick) { retire_tick_ = tick; }
     std::uint64_t retire_tick() const { return retire_tick_; }
 

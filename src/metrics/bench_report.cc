@@ -160,9 +160,6 @@ BenchReport::to_json() const
         config.set("thread_cache_batch",
                    JsonValue::make_number(static_cast<double>(
                        config_.thread_cache_batch)));
-        config.set("global_fetch_batch",
-                   JsonValue::make_number(static_cast<double>(
-                       config_.global_fetch_batch)));
         config.set("observability",
                    JsonValue::make_bool(config_.observability));
         config.set("obs_sample_interval",

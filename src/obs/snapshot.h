@@ -73,15 +73,15 @@ struct HeapSnapshot
      *   u >= (1-t) * (a - allowance) - (K*S + S)
      *
      * with allowance = uncarved + (active_classes * F + 1) * S, where
-     * F is Config::global_fetch_batch: an allocation may batch-pull up
-     * to F partial superblocks per class from the global bins between
-     * frees (enforcement runs on free only).  Not meaningful for the
-     * global heap (index 0), which returns true.
+     * F is HoardAllocator::kGlobalFetchBatch: an allocation may
+     * batch-pull up to F partial superblocks per class from the global
+     * bins between frees (enforcement runs on free only).  Not
+     * meaningful for the global heap (index 0), which returns true.
      *
      * @param superblock_bytes   S
      * @param release_threshold  t (Config::release_threshold)
      * @param slack_superblocks  K
-     * @param global_fetch_batch F (Config::global_fetch_batch)
+     * @param global_fetch_batch F (HoardAllocator::kGlobalFetchBatch)
      */
     bool
     emptiness_ok(std::size_t superblock_bytes, double release_threshold,

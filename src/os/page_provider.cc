@@ -4,10 +4,10 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <new>
 
+#include "common/env.h"
 #include "common/failure.h"
 #include "common/mathutil.h"
 #include "os/reserved_arena.h"
@@ -17,23 +17,16 @@ namespace os {
 
 namespace {
 
+/// Largest span HOARD_ARENA_SPAN may select: the arena's free stacks
+/// cover span orders below 32.
+constexpr std::uint64_t kMaxEnvArenaSpan = std::uint64_t{1} << 31;
+
 std::size_t
 page_size()
 {
     static const std::size_t ps =
         static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
     return ps;
-}
-
-std::size_t
-env_size(const char* name, std::size_t fallback)
-{
-    const char* v = std::getenv(name);
-    if (v == nullptr)
-        return fallback;
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    return end != v ? static_cast<std::size_t>(parsed) : fallback;
 }
 
 }  // namespace
@@ -136,12 +129,15 @@ default_page_provider()
     alignas(ReservedArenaProvider) static unsigned char
         storage[sizeof(ReservedArenaProvider)];
     static ReservedArenaProvider* provider = [] {
+        // Invalid values keep the defaults (common/env.h).  A span
+        // past 2^31 would overflow the arena's per-order free stacks.
         ReservedArenaProvider::Options opt;
-        opt.arena_bytes =
-            env_size("HOARD_ARENA_BYTES", opt.arena_bytes);
-        opt.max_span_bytes =
-            env_size("HOARD_ARENA_SPAN", opt.max_span_bytes);
-        opt.huge_pages = env_size("HOARD_HUGEPAGE", 0) != 0;
+        if (auto bytes = detail::env_number("HOARD_ARENA_BYTES"))
+            opt.arena_bytes = static_cast<std::size_t>(*bytes);
+        if (auto span = detail::env_number("HOARD_ARENA_SPAN");
+            span && *span >= page_size() && *span <= kMaxEnvArenaSpan)
+            opt.max_span_bytes = static_cast<std::size_t>(*span);
+        opt.huge_pages = detail::env_flag("HOARD_HUGEPAGE").value_or(false);
         return new (storage) ReservedArenaProvider(opt);
     }();
     return *provider;

@@ -3,12 +3,16 @@
 #include "core/facade.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
+
+#include "os/page_provider.h"
+#include "os/reserved_arena.h"
 
 namespace hoard {
 namespace {
@@ -181,36 +185,104 @@ TEST(Facade, MixedSizesStressRoundTrip)
     global_allocator().check_invariants();
 }
 
-// An env typo must not abort every shimmed process: out-of-range
-// values are ignored and the global instance keeps its defaults.  The
-// threadsafe style re-executes the test binary, so each child builds
-// a fresh global instance from the environment it inherits.
+/** The process's default provider, which every HOARD_ARENA_* and
+    HOARD_HUGEPAGE knob configures. */
+const os::ReservedArenaProvider::Options&
+arena_options()
+{
+    const auto* arena = dynamic_cast<const os::ReservedArenaProvider*>(
+        &os::default_page_provider());
+    if (arena == nullptr)
+        std::exit(2);
+    return arena->options();
+}
+
+bool
+superblock_is_default()
+{
+    return global_allocator().config().superblock_bytes ==
+           Config().superblock_bytes;
+}
+
+bool
+arena_span_is_default()
+{
+    return arena_options().max_span_bytes ==
+           os::ReservedArenaProvider::Options().max_span_bytes;
+}
+
+bool
+hardened_free_is_off()
+{
+    return !global_allocator().config().hardened_free;
+}
+
+// An env typo must not abort or hang every shimmed process: a value
+// outside the common/env.h grammar (a suffix, an overflow, an unknown
+// flag word) or outside its knob's range is ignored, and the knob keeps
+// its default; flags read 1/true/on and 0/false/off alike.  The
+// threadsafe style re-executes the test binary, so each case builds a
+// fresh global instance and default provider (both process statics)
+// from the environment its child inherits.
 TEST(FacadeEnvDeathTest, OutOfRangeKnobsAreIgnored)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const Config defaults;
     const struct
     {
         const char* name;
         const char* value;
+        bool (*holds)();  ///< the knob's expected state in the child
     } cases[] = {
         // 2^32: wraps to 0 in the knob's 32-bit field.
-        {"HOARD_LATENCY_PERIOD", "4294967296"},
+        {"HOARD_LATENCY_PERIOD", "4294967296",
+         [] {
+             return global_allocator().config().latency_sample_period ==
+                    Config().latency_sample_period;
+         }},
         // 2^27: above the 16 MiB cap.
-        {"HOARD_SUPERBLOCK_BYTES", "134217728"},
+        {"HOARD_SUPERBLOCK_BYTES", "134217728", superblock_is_default},
+        // Unit suffixes are not numbers: not 65536, not 64, not 1.
+        {"HOARD_SUPERBLOCK_BYTES", "65536x", superblock_is_default},
+        {"HOARD_RSS_TARGET", "64M",
+         [] {
+             return global_allocator().config().rss_target_bytes ==
+                    Config().rss_target_bytes;
+         }},
+        {"HOARD_ARENA_BYTES", "1G",
+         [] {
+             return arena_options().arena_bytes ==
+                    os::ReservedArenaProvider::Options().arena_bytes;
+         }},
+        // Spans past 2^31: an arena order the free stacks do not have,
+        // and a value whose power-of-two round-up never terminates.
+        {"HOARD_ARENA_SPAN", "4294967296", arena_span_is_default},
+        {"HOARD_ARENA_SPAN", "10000000000000000000", arena_span_is_default},
+        // Past 2^64: overflow, not a wrap.
+        {"HOARD_PURGE_AGE", "18446744073709551616",
+         [] {
+             return global_allocator().config().purge_age_ticks ==
+                    Config().purge_age_ticks;
+         }},
+        // One flag grammar for every boolean knob.
+        {"HOARD_HARDENED_FREE", "off", hardened_free_is_off},
+        {"HOARD_HARDENED_FREE", "false", hardened_free_is_off},
+        {"HOARD_HARDENED_FREE", "maybe",
+         [] { return !hardened_free_is_off(); }},
+        {"HOARD_HUGEPAGE", "on", [] { return arena_options().huge_pages; }},
+        {"HOARD_HUGEPAGE", "2", [] { return !arena_options().huge_pages; }},
+        {"HOARD_LATENCY", "true",
+         [] { return (hoard_latency() != nullptr) == obs::kCompiledIn; }},
+        {"HOARD_OBS", "yes",
+         [] { return hoard_event_recorder() == nullptr; }},
     };
     for (const auto& c : cases) {
         ASSERT_EQ(setenv(c.name, c.value, 1), 0);
         EXPECT_EXIT(
             {
+                alarm(30);  // a hang fails the case instead of the run
                 void* p = hoard_malloc(64);
                 hoard_free(p);
-                const Config& used = global_allocator().config();
-                const bool kept_defaults =
-                    used.latency_sample_period ==
-                        defaults.latency_sample_period &&
-                    used.superblock_bytes == defaults.superblock_bytes;
-                std::exit(p != nullptr && kept_defaults ? 0 : 1);
+                std::exit(p != nullptr && c.holds() ? 0 : 1);
             },
             ::testing::ExitedWithCode(0), "")
             << c.name << "=" << c.value;

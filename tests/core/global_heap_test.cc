@@ -5,10 +5,12 @@
  * and the drain/scavenge protocols that keep snapshots byte-exact.
  * The claims under test:
  *
- *  - a cold heap's fetch pulls up to Config::global_fetch_batch
- *    superblocks from its class's bin in one visit;
- *  - superblocks that empty inside a bin are retained there (still
- *    formatted) and release_free_memory scavenges them;
+ *  - a cold heap's fetch pulls up to kGlobalFetchBatch superblocks
+ *    from its class's bin in one visit;
+ *  - the reuse cache is the one home of an empty superblock: one that
+ *    empties inside a bin leaves it for the cache, a same-class
+ *    refetch takes it back without an OS mapping, and
+ *    release_free_memory unmaps it;
  *  - empty superblocks recycle through the cache within and across
  *    size classes without fresh OS mappings;
  *  - under multi-threaded churn that populates the bins, quiescent
@@ -44,17 +46,16 @@ bin_config(int heaps)
     config.empty_fraction = 0.25;
     config.release_threshold = 0.25;
     config.slack_superblocks = 0;
-    config.global_fetch_batch = 4;
     return config;
 }
 
-/** Fills heap 1 with @p superblocks half-full superblocks of 64-byte
-    blocks and lets the invariant sweep them into the global bin.
-    Returns the still-live blocks. */
+/** Fills the calling thread's heap with @p superblocks half-full
+    superblocks of 64-byte blocks and lets the invariant sweep them
+    into the global bin.  Returns the still-live blocks. */
+template <typename Hoard>
 std::vector<void*>
-populate_bin(NativeHoard& allocator, int superblocks)
+populate_bin(Hoard& allocator, int superblocks)
 {
-    NativePolicy::rebind_thread_index(0);
     const std::size_t per_sb =
         Superblock::payload_bytes_for(
             allocator.config().superblock_bytes) /
@@ -76,9 +77,78 @@ populate_bin(NativeHoard& allocator, int superblocks)
     return live;
 }
 
+/** Superblocks linked in @p hs's lists (for heap 0: the bins only,
+    not the reuse cache). */
+std::size_t
+listed_superblocks(const obs::HeapSnapshot& hs)
+{
+    std::size_t n = 0;
+    for (const obs::ClassSnapshot& cs : hs.classes)
+        n += cs.superblocks;
+    return n;
+}
+
+/**
+ * Superblocks that empty inside a global bin leave it for the reuse
+ * cache: each raises cache_pushes once, the bins hold nothing at
+ * quiescence, a same-class refetch maps nothing new, and
+ * release_free_memory() returns every held byte.  Lock-taking, so a
+ * SimHoard runs it inside a simulated thread.
+ */
+template <typename Hoard>
+void
+check_one_home_for_empties(Hoard& allocator)
+{
+    std::vector<void*> live = populate_bin(allocator, 6);
+    obs::AllocatorSnapshot snap = allocator.take_snapshot();
+    const std::size_t in_bins = listed_superblocks(snap.heaps[0]);
+    const std::size_t in_heap = listed_superblocks(
+        snap.heaps[static_cast<std::size_t>(allocator.my_heap_index())]);
+    ASSERT_GT(in_bins, 0u)
+        << "partial superblocks should have transferred to the bin";
+    const std::uint64_t pushes0 = allocator.stats().cache_pushes.get();
+
+    // Free the rest.  Every superblock, in a bin or still in the heap,
+    // empties and is pushed onto the reuse cache exactly once.
+    for (void* q : live)
+        allocator.deallocate(q);
+    EXPECT_EQ(allocator.stats().in_use_bytes.current(), 0u);
+    EXPECT_EQ(allocator.stats().cache_pushes.get() - pushes0,
+              in_bins + in_heap);
+    EXPECT_TRUE(allocator.check_invariants());
+
+    snap = allocator.take_snapshot();
+    EXPECT_TRUE(snap.reconciles());
+    const obs::HeapSnapshot& global = snap.heaps[0];
+    EXPECT_EQ(listed_superblocks(global), 0u) << "a bin kept an empty";
+    EXPECT_EQ(global.in_use, 0u);
+    EXPECT_EQ(global.empty_cached, in_bins + in_heap);
+    EXPECT_EQ(global.held,
+              global.empty_cached * allocator.config().superblock_bytes)
+        << "the bins' own held must be 0";
+
+    // A same-class refetch pops a cached superblock still formatted
+    // for the class: no fresh mapping.
+    const std::uint64_t maps0 =
+        allocator.stats().superblock_allocs.get();
+    const std::uint64_t pops0 = allocator.stats().cache_pops.get();
+    void* p = allocator.allocate(64);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(allocator.stats().superblock_allocs.get(), maps0);
+    EXPECT_EQ(allocator.stats().cache_pops.get(), pops0 + 1);
+    allocator.deallocate(p);
+
+    // Memory pressure unmaps the whole cache.
+    EXPECT_GT(allocator.release_free_memory(), 0u);
+    EXPECT_EQ(allocator.stats().held_bytes.current(), 0u);
+    EXPECT_EQ(allocator.heap_held(0), 0u);
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
 TEST(GlobalBins, BatchedFetchPullsMultipleSuperblocks)
 {
     NativeHoard allocator(bin_config(2));
+    NativePolicy::rebind_thread_index(0);
     std::vector<void*> live = populate_bin(allocator, 6);
     ASSERT_GT(allocator.heap_held(0), 0u)
         << "partial superblocks should have transferred to the bin";
@@ -97,7 +167,7 @@ TEST(GlobalBins, BatchedFetchPullsMultipleSuperblocks)
     const std::uint64_t pulled =
         allocator.stats().global_fetches.get() - fetches0;
     EXPECT_GE(pulled, 2u) << "fetch did not batch";
-    EXPECT_LE(pulled, allocator.config().global_fetch_batch);
+    EXPECT_LE(pulled, NativeHoard::kGlobalFetchBatch);
     EXPECT_TRUE(allocator.check_invariants());
 
     allocator.deallocate(p);
@@ -107,42 +177,21 @@ TEST(GlobalBins, BatchedFetchPullsMultipleSuperblocks)
     EXPECT_TRUE(allocator.check_invariants());
 }
 
-TEST(GlobalBins, EmptiesRetainedInBinAndScavenged)
+TEST(GlobalBins, BinEmptiesRetireToReuseCache)
 {
     NativeHoard allocator(bin_config(2));
-    std::vector<void*> live = populate_bin(allocator, 6);
+    NativePolicy::rebind_thread_index(0);
+    check_one_home_for_empties(allocator);
+}
 
-    // Free the rest.  The blocks' superblocks now live in the bin, so
-    // these frees land there and the superblocks empty *inside* it —
-    // retained in band 0, still formatted, never pushed to the
-    // cross-class cache.
-    for (void* q : live)
-        allocator.deallocate(q);
-    EXPECT_EQ(allocator.stats().in_use_bytes.current(), 0u);
-    EXPECT_TRUE(allocator.check_invariants());
-    EXPECT_GT(allocator.heap_held(0), 0u)
-        << "bin should retain its emptied superblocks";
-
-    obs::AllocatorSnapshot snap = allocator.take_snapshot();
-    EXPECT_TRUE(snap.reconciles());
-    EXPECT_EQ(snap.heaps[0].in_use, 0u);
-    EXPECT_GT(snap.heaps[0].held, 0u);
-
-    // A same-class refetch takes a retained superblock back without
-    // a fresh mapping.
-    const std::uint64_t maps0 =
-        allocator.stats().superblock_allocs.get();
-    void* p = allocator.allocate(64);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(allocator.stats().superblock_allocs.get(), maps0);
-    allocator.deallocate(p);
-
-    // Memory pressure scavenges the retained empties.
-    const std::size_t released = allocator.release_free_memory();
-    EXPECT_GT(released, 0u);
-    EXPECT_EQ(allocator.heap_held(0), 0u);
-    EXPECT_EQ(allocator.stats().held_bytes.current(), 0u);
-    EXPECT_TRUE(allocator.check_invariants());
+TEST(GlobalBins, SimBinEmptiesRetireToReuseCache)
+{
+    SimHoard allocator(bin_config(2));
+    sim::Machine machine(1);
+    machine.spawn(0, 0, [&allocator] {
+        check_one_home_for_empties(allocator);
+    });
+    machine.run();
 }
 
 TEST(ReuseCache, SameClassRoundTripSkipsTheOs)

@@ -184,20 +184,30 @@ TEST_F(HoardAllocatorTest, StatsCountOperations)
         << "empty superblocks are cached, not unmapped";
 }
 
-TEST_F(HoardAllocatorTest, EmptyCacheLimitReturnsMemoryToOs)
+TEST_F(HoardAllocatorTest, ReleaseFreeMemoryUnmapsCachedEmpties)
 {
     Config config = small_config();
-    config.empty_cache_limit = 0;  // release every empty superblock
-    config.slack_superblocks = 0;
+    config.slack_superblocks = 0;  // every emptied superblock leaves
     NativeHoard allocator(config);
+    NativePolicy::rebind_thread_index(0);
     std::vector<void*> blocks;
     for (int i = 0; i < 5000; ++i)
         blocks.push_back(allocator.allocate(64));
-    std::size_t peak = allocator.stats().committed_bytes.current();
+    const std::size_t peak = allocator.stats().committed_bytes.current();
     for (void* p : blocks)
         allocator.deallocate(p);
-    EXPECT_LT(allocator.stats().committed_bytes.current(), peak / 2)
-        << "most superblocks should have been unmapped";
+
+    // The empties sit in the global heap's reuse cache, still mapped.
+    EXPECT_GT(allocator.stats().cache_pushes.get(), 0u);
+    EXPECT_EQ(allocator.heap_held(1), 0u);
+    const std::size_t cached = allocator.heap_held(0);
+    EXPECT_EQ(cached, allocator.stats().held_bytes.current());
+    EXPECT_EQ(allocator.stats().committed_bytes.current(), peak);
+
+    EXPECT_EQ(allocator.release_free_memory(), cached);
+    EXPECT_EQ(allocator.heap_held(0), 0u);
+    EXPECT_EQ(allocator.stats().held_bytes.current(), 0u);
+    EXPECT_EQ(allocator.stats().committed_bytes.current(), 0u);
     EXPECT_TRUE(allocator.check_invariants());
 }
 
