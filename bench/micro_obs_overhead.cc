@@ -1,59 +1,84 @@
 /**
  * @file
- * Overhead gate for the observability layer (src/obs/).
+ * Overhead gates for the allocator's switchable layers: the
+ * observability layer (src/obs/: tracing, lock profiling, latency
+ * histograms, the timeline sampler), hardened free, the sampling heap
+ * profiler and the page layer's arena carve.
  *
- * Compares the malloc hot path (alloc/free pairs with LIFO reuse)
- * across three allocator variants in one binary:
+ * Every allocator gate runs under shipped_config(), the configuration
+ * libhoard.so runs (thread magazines on), over 64 B alloc/free pairs
+ * with LIFO reuse:
  *
- *  - uninstrumented: a policy with kObsEnabled=false, so every obs
- *    hook and its argument computation folds out at compile time —
- *    the same code a -DHOARD_OBS=OFF build produces;
- *  - disabled: instrumentation compiled in, runtime flag off (the
- *    default production configuration);
- *  - idle sampler: tracing on with a timeline sample interval so
- *    large it never fires — the residue is the sampler's per-free
- *    cadence countdown;
- *  - enabled: tracing and lock profiling on (for reference only).
+ *   gate            baseline               variant               budget
+ *   profiler off    kProfilerEnabled=false shipped (rate 0)      2%
+ *   idle sampler    tracing on             + idle sampler        2%
+ *   hardened free   hardened_free = false  shipped (hardened)    2%
+ *   armed profiler  shipped (rate 0)       rate 512 KiB          5%
+ *   armed latency   shipped (disarmed)     latency_histograms    5%
+ *   arena carve     mmap provider spans    reserved-arena spans  faster
+ *   canary          shipped                + planted pair        flagged
  *
- * The contract the CI gate enforces (`--check`): compiled-in-but-
- * disabled instrumentation costs less than 2% on the hot path, and
- * so does enabled-but-idle sampling relative to plain tracing-on
- * (the sampler must not tax users who enable tracing).  The same
- * budget gates the hardened free path (Config::hardened_free, the
- * production default): pointer validation on deallocate must stay
- * under 2% against a trusting build.  The sampling heap profiler
- * (obs/heap_profiler.h) gets the same treatment: compiled-in-but-
- * unarmed (rate 0, the default) must stay under the 2% budget against
- * a kProfilerEnabled=false build, and armed at the production default
- * rate (512 KiB mean between samples) under 5%
- * (HOARD_PROF_TOLERANCE_PCT).  The per-path latency histograms
- * (obs/latency.h) follow the profiler's contract: disarmed
- * (latency_histograms=false, the default) under 2% against a
- * kObsEnabled=false build, armed at the default sample period under
- * 5% (HOARD_LAT_TOLERANCE_PCT).
- * Measurements interleave repetitions across variants and compare
- * medians, so clock drift and frequency steps cancel instead of
- * biasing one variant.  Each repetition constructs a fresh allocator:
- * superblock placement (and with it cache-set luck) is re-rolled per
- * rep, so the median samples placement noise instead of freezing one
- * lucky or unlucky layout into the verdict.
+ * The first gate is the earn test of the HOARD_PROFILER build switch:
+ * it compares the shipped build's unarmed profiler hooks against a
+ * policy that compiles them out, so it is the only gate that spans two
+ * template instantiations.  It reads +3-5% today, which is why the
+ * switch is kept; once the hooks fit the 2% budget the switch buys
+ * nothing and can go.  The rest of src/obs/ has no build switch: its
+ * disarmed sites read within 2% of a compiled-out build by this
+ * method.  Every other gate compares two runtime settings of the one
+ * HoardAllocator<NativePolicy> instantiation that ships.
+ *
+ * The idle sampler runs tracing on with a timeline interval so large
+ * it never fires: the residue is the sampler's per-free cadence
+ * countdown, which must not tax users who enable tracing.
+ *
+ * Method.  Each measurement runs in its own forked process, so every
+ * one re-rolls superblock placement and address-space layout instead
+ * of freezing one lucky or unlucky layout into the verdict.  Each rep
+ * times every gate in ABBA order (baseline, variant, variant,
+ * baseline), which cancels linear drift within the rep.  A gate reads
+ * the median over reps of the paired overhead
+ * (v1 + v2 - b1 - b2) / (b1 + b2), printed with a 95% percentile
+ * bootstrap interval of that median.  The bench pins itself to one
+ * CPU, every measurement is the fastest of five slices inside its
+ * process, and a quartet that straddled a change of host speed is
+ * timed again (see Gate::run_rep).
+ *
+ * The canary shows the method resolves a difference of the size it
+ * gates: its loop plants 1.5x the tolerance in force on the reference
+ * pair (one uncounted pair every 33, +3.03%, at the 2% budget), and
+ * --check fails unless the canary's median exceeds that tolerance.
  *
  *   ./build/bench/micro_obs_overhead            # report only
- *   ./build/bench/micro_obs_overhead --check    # exit 1 over budget
+ *   ./build/bench/micro_obs_overhead --check    # exit 1 on a failed gate
  *
- * Environment knobs: HOARD_OBS_TOLERANCE_PCT (default 2),
- * HOARD_OBS_OPS (pairs per repetition, default 2000000),
- * HOARD_OBS_REPS (default 9).
+ * Environment knobs: HOARD_OBS_TOLERANCE_PCT (default 2: profiler
+ * off, idle sampler, hardened free and canary), HOARD_PROF_TOLERANCE_PCT
+ * and HOARD_LAT_TOLERANCE_PCT (default 5), HOARD_OBS_OPS (64 B pairs
+ * per measurement, default 500000), HOARD_OBS_REPS (ABBA reps, default
+ * 61, minimum 15).  At 61 reps (about 20 s) the canary reads +2.5% to
+ * +3.7% on a shared 4-vCPU guest; at 31 it read as low as +2.05%.
  */
+
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/facade.h"
 #include "core/hoard_allocator.h"
 #include "os/page_provider.h"
 #include "os/reserved_arena.h"
@@ -63,18 +88,7 @@ namespace {
 
 using namespace hoard;
 
-/** NativePolicy with the observability layer compiled out. */
-struct NoObsPolicy : NativePolicy
-{
-    static constexpr bool kObsEnabled = false;
-};
-
-/**
- * NativePolicy with only the heap profiler compiled out — the
- * baseline that isolates the profiler's fast-path hook (the byte
- * countdown in HoardAllocator::profile_alloc) from the rest of the
- * observability layer, which stays identical on both sides.
- */
+/** NativePolicy with only the heap profiler compiled out. */
 struct NoProfPolicy : NativePolicy
 {
     static constexpr bool kProfilerEnabled = false;
@@ -87,48 +101,75 @@ keep(void* p)
     asm volatile("" : : "r"(p) : "memory");
 }
 
-/** ns per alloc/free pair over @p pairs LIFO pairs at 64 bytes. */
-template <typename AllocatorT>
+/** Slices per measurement; the fastest one is the reading. */
+constexpr int kSlices = 5;
+
+/** One LIFO alloc/free pair at 64 bytes. */
+template <typename Policy>
+inline void
+pair(HoardAllocator<Policy>& allocator)
+{
+    void* p = allocator.allocate(64);
+    keep(p);
+    allocator.deallocate(p);
+}
+
+/** Shape of a timed pair loop: counted pairs, in blocks of block. */
+struct PairLoop
+{
+    std::size_t pairs;
+    std::size_t block;
+};
+
+/**
+ * ns per pair over @p loop.  With @p plant set (the canary) one
+ * uncounted pair follows each block: a cost of exactly 1/block of the
+ * reference pair on any machine and in any host state, which no
+ * calibrated spin matches.  Every variant runs the same block loop,
+ * so the block branch costs them all alike.  The pairs run in
+ * kSlices slices and the fastest slice is the reading, so a transient
+ * stall inside the process (a timer tick, a host hiccup) does not
+ * count.
+ */
+template <typename Policy>
 double
-time_pairs(AllocatorT& allocator, std::size_t pairs)
+time_pairs(HoardAllocator<Policy>& allocator, const PairLoop& loop,
+           bool plant)
 {
     // Warm the size class so the loop never maps fresh superblocks.
     void* warm = allocator.allocate(64);
     allocator.deallocate(warm);
 
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < pairs; ++i) {
-        void* p = allocator.allocate(64);
-        keep(p);
-        allocator.deallocate(p);
+    const std::size_t slice = loop.pairs / kSlices + 1;
+    double best = std::numeric_limits<double>::max();
+    for (int s = 0; s < kSlices; ++s) {
+        std::size_t countdown = loop.block;
+        auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < slice; ++i) {
+            pair(allocator);
+            if (--countdown == 0) {
+                countdown = loop.block;
+                if (plant)
+                    pair(allocator);
+            }
+        }
+        auto t1 = std::chrono::steady_clock::now();
+        best = std::min(
+            best, std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                      static_cast<double>(slice));
     }
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(pairs);
+    return best;
 }
 
-/**
- * ns per alloc/free pair on the huge-object path (above the largest
- * size class, so every pair maps and unmaps a dedicated span and
- * registers in the striped huge list).  Regression guard for the
- * slow-path sharding work: huge registration must cost only a striped
- * lock — uninstrumented and compiled-in-but-disabled builds have to
- * stay within the same overhead budget as the malloc hot path.
- */
-template <typename AllocatorT>
-double
-time_huge_pairs(AllocatorT& allocator, std::size_t pairs)
+/** A measurement of @p loop's 64 B pairs under @p config. */
+template <typename Policy = NativePolicy>
+std::function<double()>
+pairs_under(const Config& config, const PairLoop& loop, bool plant = false)
 {
-    constexpr std::size_t kHugeBytes = 16384;
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < pairs; ++i) {
-        void* p = allocator.allocate(kHugeBytes);
-        keep(p);
-        allocator.deallocate(p);
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(pairs);
+    return [config, loop, plant] {
+        HoardAllocator<Policy> allocator(config);
+        return time_pairs(allocator, loop, plant);
+    };
 }
 
 /**
@@ -158,40 +199,88 @@ time_span_pairs(os::PageProvider& provider, std::size_t pairs)
 }
 
 /**
- * Best-of-reps: the minimum is the standard noise-robust estimator
- * for tight timing loops — every source of interference (scheduler,
- * frequency steps, unlucky superblock placement) only ever adds time,
- * so the smallest sample is the closest to the true cost.
+ * Pins this process, and with it every measurement child, to the CPU
+ * it runs on now.  On a shared host one vCPU can run a pair at half
+ * the speed of another (a busy hyperthread sibling), and that state
+ * lasts for seconds; a baseline and variant that migrate apart would
+ * measure the host, not the code.
  */
-double
-best(const std::vector<double>& v)
+void
+pin_to_current_cpu()
 {
-    return *std::min_element(v.begin(), v.end());
+    const int cpu = ::sched_getcpu();
+    if (cpu < 0)
+        return;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    ::sched_setaffinity(0, sizeof set, &set);
 }
 
 /**
- * Median of per-rep paired overhead percentages.  Each rep times the
- * pair in ABBA order (baseline, variant, variant, baseline), so any
- * linear drift across the rep — thermal throttle, frequency ramp —
- * cancels exactly; the median across reps then discards the reps a
- * scheduler spike or unlucky superblock placement corrupted.
- * Comparing two independent best-of estimates instead flaps by a few
- * percent on a busy machine, wider than the budget being enforced.
+ * Runs @p measure in a forked child and returns the ns/pair it reports
+ * through a pipe.  Exits the bench if the child dies.
  */
 double
-median_paired_pct(const std::vector<double>& baseline,
-                  const std::vector<double>& variant)
+in_child(const std::function<double()>& measure)
 {
-    // baseline/variant hold two measurements per rep (ABBA order).
-    std::vector<double> pct;
-    pct.reserve(baseline.size() / 2);
-    for (std::size_t r = 0; r + 1 < baseline.size(); r += 2) {
-        const double b = baseline[r] + baseline[r + 1];
-        const double v = variant[r] + variant[r + 1];
-        pct.push_back((v - b) / b * 100.0);
+    int fds[2];
+    if (::pipe(fds) != 0) {
+        std::perror("pipe");
+        std::exit(2);
     }
-    std::sort(pct.begin(), pct.end());
-    return pct[pct.size() / 2];
+    std::fflush(stdout);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+        std::perror("fork");
+        std::exit(2);
+    }
+    if (pid == 0) {
+        ::close(fds[0]);
+        const double ns = measure();
+        const bool sent = ::write(fds[1], &ns, sizeof ns) ==
+                          static_cast<ssize_t>(sizeof ns);
+        ::_exit(sent ? 0 : 1);
+    }
+    ::close(fds[1]);
+    double ns = 0.0;
+    const bool got = ::read(fds[0], &ns, sizeof ns) ==
+                     static_cast<ssize_t>(sizeof ns);
+    ::close(fds[0]);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        std::fprintf(stderr, "measurement child failed\n");
+        std::exit(2);
+    }
+    return ns;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/** 95% percentile-bootstrap interval of the median of @p pct. */
+std::pair<double, double>
+bootstrap_median_ci(const std::vector<double>& pct)
+{
+    constexpr int kResamples = 4000;
+    std::mt19937_64 rng(0x0b5e7a11ULL);
+    std::uniform_int_distribution<std::size_t> pick(0, pct.size() - 1);
+    std::vector<double> medians(kResamples);
+    std::vector<double> sample(pct.size());
+    for (double& m : medians) {
+        for (double& s : sample)
+            s = pct[pick(rng)];
+        m = median(sample);
+    }
+    std::sort(medians.begin(), medians.end());
+    return {medians[kResamples * 25 / 1000],
+            medians[kResamples * 975 / 1000 - 1]};
 }
 
 double
@@ -205,6 +294,70 @@ env_double(const char* name, double fallback)
     return end == s ? fallback : v;
 }
 
+/** What a gate's paired median must do to pass. */
+enum class Rule {
+    within,   ///< at most the budget
+    faster,   ///< below zero
+    flagged,  ///< above the budget (the canary)
+};
+
+/** One baseline/variant pair, timed ABBA in fresh processes per rep. */
+struct Gate
+{
+    std::string name;
+    std::string base_label;
+    std::function<double()> base;
+    std::string variant_label;
+    std::function<double()> variant;
+    double budget_pct;
+    Rule rule;
+    std::vector<double> base_ns = {};     // two per rep
+    std::vector<double> variant_ns = {};  // two per rep
+    int retimed = 0;  ///< quartets timed again, see run_rep
+
+    /**
+     * One ABBA quartet.  A quartet whose two readings of one side
+     * differ by more than kMaxSideRatio straddled a change of host
+     * state (a vCPU's speed can halve for seconds, which no drift
+     * model cancels) and is timed again, up to kMaxTries times.
+     */
+    void
+    run_rep()
+    {
+        constexpr double kMaxSideRatio = 1.25;
+        constexpr int kMaxTries = 3;
+        auto ratio = [](double a, double b) {
+            return std::max(a, b) / std::min(a, b);
+        };
+        double b1 = 0, v1 = 0, v2 = 0, b2 = 0;
+        for (int attempt = 1;; ++attempt) {
+            b1 = in_child(base);
+            v1 = in_child(variant);
+            v2 = in_child(variant);
+            b2 = in_child(base);
+            if (attempt == kMaxTries || (ratio(b1, b2) <= kMaxSideRatio &&
+                                         ratio(v1, v2) <= kMaxSideRatio))
+                break;
+            ++retimed;
+        }
+        base_ns.insert(base_ns.end(), {b1, b2});
+        variant_ns.insert(variant_ns.end(), {v1, v2});
+    }
+
+    /** Per-rep paired overhead percentages. */
+    std::vector<double>
+    paired_pct() const
+    {
+        std::vector<double> pct;
+        for (std::size_t r = 0; r + 1 < base_ns.size(); r += 2) {
+            const double b = base_ns[r] + base_ns[r + 1];
+            const double v = variant_ns[r] + variant_ns[r + 1];
+            pct.push_back((v - b) / b * 100.0);
+        }
+        return pct;
+    }
+};
+
 }  // namespace
 
 int
@@ -217,351 +370,134 @@ main(int argc, char** argv)
     }
 
     const auto pairs = static_cast<std::size_t>(
-        env_double("HOARD_OBS_OPS", 2e6));
-    const int reps =
-        static_cast<int>(env_double("HOARD_OBS_REPS", 9));
+        env_double("HOARD_OBS_OPS", 5e5));
+    const int reps = std::max(
+        15, static_cast<int>(env_double("HOARD_OBS_REPS", 61)));
     const double tolerance_pct =
         env_double("HOARD_OBS_TOLERANCE_PCT", 2.0);
-
-    Config config;
-    config.heap_count = 4;
-    Config unhardened_config = config;
-    unhardened_config.hardened_free = false;
-    Config traced_config = config;
-    traced_config.observability = true;
-    Config idle_sampler_config = traced_config;
-    // An interval no steady_clock timestamp reaches: the cadence
-    // countdown and claim check run, the sample never fires.
-    idle_sampler_config.obs_sample_interval =
-        std::numeric_limits<std::uint64_t>::max() / 2;
-    Config armed_prof_config = config;
-    // The production default documented in docs/PROFILING.md.
-    armed_prof_config.profile_sample_rate = std::size_t{512} * 1024;
     const double prof_tolerance_pct =
         env_double("HOARD_PROF_TOLERANCE_PCT", 5.0);
-    Config armed_lat_config = config;
-    // Armed at the default fast-path sample period (Config doc).
-    armed_lat_config.latency_histograms = true;
     const double lat_tolerance_pct =
         env_double("HOARD_LAT_TOLERANCE_PCT", 5.0);
+    // Each span pair is a map/unmap round trip; scale the count so the
+    // span loop costs about as much wall clock as the hot path.
+    const std::size_t span_pairs = pairs / 256 + 1;
+    pin_to_current_cpu();
 
-    // Each rep times every variant twice in ABBA order per gated
-    // pair, on a fresh allocator per measurement (placement re-rolled
-    // each time); see median_paired_pct.
-    std::vector<double> base_ns, disabled_ns, idle_ns, enabled_ns;
-    std::vector<double> base_huge_ns, disabled_huge_ns;
-    std::vector<double> unhardened_ns, hardened_ns;
-    std::vector<double> noprof_off_ns, prof_off_ns;
-    std::vector<double> noprof_on_ns, prof_on_ns;
-    std::vector<double> nolat_off_ns, lat_off_ns;
-    std::vector<double> nolat_on_ns, lat_on_ns;
-    // Each huge pair is an mmap/munmap round trip; scale the count so
-    // the huge loop costs about as much wall clock as the hot path.
-    const std::size_t huge_pairs = pairs / 256 + 1;
-    auto run_base = [&] {
-        HoardAllocator<NoObsPolicy> uninstrumented(config);
-        base_ns.push_back(time_pairs(uninstrumented, pairs));
-        base_huge_ns.push_back(
-            time_huge_pairs(uninstrumented, huge_pairs));
+    const Config shipped = shipped_config();
+    Config unhardened = shipped;
+    unhardened.hardened_free = false;
+    Config traced = shipped;
+    traced.observability = true;
+    Config idle_sampler = traced;
+    // An interval no steady_clock timestamp reaches: the cadence
+    // countdown and claim check run, the sample never fires.
+    idle_sampler.obs_sample_interval =
+        std::numeric_limits<std::uint64_t>::max() / 2;
+    Config armed_prof = shipped;
+    // The production default documented in docs/PROFILING.md.
+    armed_prof.profile_sample_rate = std::size_t{512} * 1024;
+    Config armed_lat = shipped;
+    // Armed at the default fast-path sample period (Config doc).
+    armed_lat.latency_histograms = true;
+
+    auto mmap_spans = [span_pairs] {
+        os::MmapPageProvider provider;
+        return time_span_pairs(provider, span_pairs);
     };
-    auto run_disabled = [&] {
-        HoardAllocator<NativePolicy> disabled(config);
-        disabled_ns.push_back(time_pairs(disabled, pairs));
-        disabled_huge_ns.push_back(
-            time_huge_pairs(disabled, huge_pairs));
+    auto arena_spans = [span_pairs] {
+        os::ReservedArenaProvider provider;
+        return time_span_pairs(provider, span_pairs);
     };
-    auto run_idle = [&] {
-        HoardAllocator<NativePolicy> idle(idle_sampler_config);
-        idle_ns.push_back(time_pairs(idle, pairs));
+
+    // Canary: one planted pair per block is 1.5x the tolerance in
+    // force (33 pairs, +3.03%, at the 2% budget).
+    const auto canary_block = static_cast<std::size_t>(
+        std::max(1L, std::lround(100.0 / (1.5 * tolerance_pct))));
+    const PairLoop loop{pairs, canary_block};
+    std::printf("canary: one uncounted pair planted every %zu pairs "
+                "(+%.2f%%)\n",
+                loop.block, 100.0 / static_cast<double>(loop.block));
+
+    std::vector<Gate> gates = {
+        {"profiler off", "compiled out",
+         pairs_under<NoProfPolicy>(shipped, loop), "rate 0 (shipped)",
+         pairs_under(shipped, loop), tolerance_pct, Rule::within},
+        {"idle sampler", "tracing on", pairs_under(traced, loop),
+         "+ idle sampler", pairs_under(idle_sampler, loop),
+         tolerance_pct, Rule::within},
+        {"hardened free", "trusting free", pairs_under(unhardened, loop),
+         "hardened (shipped)", pairs_under(shipped, loop),
+         tolerance_pct, Rule::within},
+        {"armed profiler", "rate 0 (shipped)", pairs_under(shipped, loop),
+         "512 KiB mean rate", pairs_under(armed_prof, loop),
+         prof_tolerance_pct, Rule::within},
+        {"armed latency", "disarmed (shipped)",
+         pairs_under(shipped, loop), "armed, default period",
+         pairs_under(armed_lat, loop), lat_tolerance_pct, Rule::within},
+        {"arena carve", "mmap provider", mmap_spans,
+         "reserved-arena provider", arena_spans, 0.0, Rule::faster},
+        {"canary", "shipped", pairs_under(shipped, loop), "planted pair",
+         pairs_under(shipped, loop, true), tolerance_pct,
+         Rule::flagged},
     };
-    auto run_enabled = [&] {
-        HoardAllocator<NativePolicy> enabled(traced_config);
-        enabled_ns.push_back(time_pairs(enabled, pairs));
-    };
-    // Hardened-free pair: both uninstrumented, so the comparison
-    // isolates the deallocate-side pointer validation.
-    auto run_unhardened = [&] {
-        HoardAllocator<NoObsPolicy> trusting(unhardened_config);
-        unhardened_ns.push_back(time_pairs(trusting, pairs));
-    };
-    auto run_hardened = [&] {
-        HoardAllocator<NoObsPolicy> hardened(config);
-        hardened_ns.push_back(time_pairs(hardened, pairs));
-    };
-    // Profiler pairs: the compiled-out baseline appears once per gated
-    // variant so each ABBA quartet is self-contained.
-    auto run_noprof_off = [&] {
-        HoardAllocator<NoProfPolicy> noprof(config);
-        noprof_off_ns.push_back(time_pairs(noprof, pairs));
-    };
-    auto run_prof_off = [&] {
-        HoardAllocator<NativePolicy> prof_off(config);
-        prof_off_ns.push_back(time_pairs(prof_off, pairs));
-    };
-    auto run_noprof_on = [&] {
-        HoardAllocator<NoProfPolicy> noprof(config);
-        noprof_on_ns.push_back(time_pairs(noprof, pairs));
-    };
-    auto run_prof_on = [&] {
-        HoardAllocator<NativePolicy> prof_on(armed_prof_config);
-        prof_on_ns.push_back(time_pairs(prof_on, pairs));
-    };
-    // Latency-histogram pairs: same quartet shape as the profiler's.
-    // The disarmed leg's baseline is kObsEnabled=false — the null
-    // check on latency_ is part of what the 2% budget buys.
-    auto run_nolat_off = [&] {
-        HoardAllocator<NoObsPolicy> nolat(config);
-        nolat_off_ns.push_back(time_pairs(nolat, pairs));
-    };
-    auto run_lat_off = [&] {
-        HoardAllocator<NativePolicy> lat_off(config);
-        lat_off_ns.push_back(time_pairs(lat_off, pairs));
-    };
-    auto run_nolat_on = [&] {
-        HoardAllocator<NoObsPolicy> nolat(config);
-        nolat_on_ns.push_back(time_pairs(nolat, pairs));
-    };
-    auto run_lat_on = [&] {
-        HoardAllocator<NativePolicy> lat_on(armed_lat_config);
-        lat_on_ns.push_back(time_pairs(lat_on, pairs));
-    };
-    // Fresh-map quartet (page layer): superblock-span round trips
-    // against each provider.  Fresh providers per measurement, like
-    // the allocator pairs; the arena provider's one-time reservation
-    // is amortized inside its own measurement, which only makes the
-    // gate harder to pass.
-    std::vector<double> mmap_span_ns, arena_span_ns;
-    auto run_mmap_span = [&] {
-        os::MmapPageProvider mmap_provider;
-        mmap_span_ns.push_back(
-            time_span_pairs(mmap_provider, huge_pairs));
-    };
-    auto run_arena_span = [&] {
-        os::ReservedArenaProvider arena_provider;
-        arena_span_ns.push_back(
-            time_span_pairs(arena_provider, huge_pairs));
-    };
+
     for (int r = 0; r < reps; ++r) {
-        run_base();
-        run_disabled();
-        run_disabled();
-        run_base();
-        run_enabled();
-        run_idle();
-        run_idle();
-        run_enabled();
-        run_unhardened();
-        run_hardened();
-        run_hardened();
-        run_unhardened();
-        run_noprof_off();
-        run_prof_off();
-        run_prof_off();
-        run_noprof_off();
-        run_noprof_on();
-        run_prof_on();
-        run_prof_on();
-        run_noprof_on();
-        run_nolat_off();
-        run_lat_off();
-        run_lat_off();
-        run_nolat_off();
-        run_nolat_on();
-        run_lat_on();
-        run_lat_on();
-        run_nolat_on();
-        run_mmap_span();
-        run_arena_span();
-        run_arena_span();
-        run_mmap_span();
+        for (Gate& gate : gates)
+            gate.run_rep();
     }
 
-    const double base = best(base_ns);
-    const double off = best(disabled_ns);
-    const double idle = best(idle_ns);
-    const double on = best(enabled_ns);
-    const double off_pct = median_paired_pct(base_ns, disabled_ns);
-    const double huge_base = best(base_huge_ns);
-    const double huge_off = best(disabled_huge_ns);
-    const double huge_off_pct =
-        median_paired_pct(base_huge_ns, disabled_huge_ns);
-    const double on_pct = (on - base) / base * 100.0;
-    // The idle sampler rides on tracing-on, so its budget is measured
-    // against the traced variant, not the uninstrumented one.
-    const double idle_pct = median_paired_pct(enabled_ns, idle_ns);
-    const double unhardened = best(unhardened_ns);
-    const double hardened = best(hardened_ns);
-    const double hardened_pct =
-        median_paired_pct(unhardened_ns, hardened_ns);
-    const double noprof = best(noprof_off_ns);
-    const double prof_off = best(prof_off_ns);
-    const double prof_off_pct =
-        median_paired_pct(noprof_off_ns, prof_off_ns);
-    const double prof_on = best(prof_on_ns);
-    const double prof_on_pct =
-        median_paired_pct(noprof_on_ns, prof_on_ns);
-    const double lat_off = best(lat_off_ns);
-    const double lat_off_pct =
-        median_paired_pct(nolat_off_ns, lat_off_ns);
-    const double lat_on = best(lat_on_ns);
-    const double lat_on_pct = median_paired_pct(nolat_on_ns, lat_on_ns);
-    const double mmap_span = best(mmap_span_ns);
-    const double arena_span = best(arena_span_ns);
-    const double arena_span_pct =
-        median_paired_pct(mmap_span_ns, arena_span_ns);
-
-    std::printf("malloc hot path, 64 B pairs, best of %d x %zu:\n",
-                reps, pairs);
-    std::printf("  uninstrumented (kObsEnabled=false): %7.2f ns/pair\n",
-                base);
-    std::printf("  instrumented, runtime off:          %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                off, off_pct);
-    std::printf("  instrumented, tracing on:           %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                on, on_pct);
-    std::printf("  tracing on + idle sampler:          %7.2f ns/pair "
-                "(%+.2f%% vs tracing on)\n",
-                idle, idle_pct);
-    std::printf("huge-object path, 16 KiB pairs, best of %d x %zu:\n",
-                reps, huge_pairs);
-    std::printf("  uninstrumented (kObsEnabled=false): %7.2f ns/pair\n",
-                huge_base);
-    std::printf("  instrumented, runtime off:          %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                huge_off, huge_off_pct);
-    std::printf("free-path validation, 64 B pairs, best of %d x %zu:\n",
-                reps, pairs);
-    std::printf("  trusting free (hardened_free=false): %6.2f ns/pair\n",
-                unhardened);
-    std::printf("  hardened free (default):             %6.2f ns/pair "
-                "(%+.2f%%)\n",
-                hardened, hardened_pct);
-    std::printf("heap profiler, 64 B pairs, best of %d x %zu:\n", reps,
-                pairs);
-    std::printf("  profiler compiled out:              %7.2f ns/pair\n",
-                noprof);
-    std::printf("  compiled in, rate 0 (default):      %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                prof_off, prof_off_pct);
-    std::printf("  armed at 512 KiB mean rate:         %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                prof_on, prof_on_pct);
-    std::printf("latency histograms, 64 B pairs, best of %d x %zu:\n",
-                reps, pairs);
-    std::printf("  disarmed (default):                 %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                lat_off, lat_off_pct);
-    std::printf("  armed at default sample period:     %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                lat_on, lat_on_pct);
-    std::printf("page layer, 64 KiB span map/touch/unmap, best of "
-                "%d x %zu:\n",
-                reps, huge_pairs);
-    std::printf("  mmap provider (over-map + trim):    %7.2f ns/pair\n",
-                mmap_span);
-    std::printf("  reserved-arena provider:            %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                arena_span, arena_span_pct);
-
-    if (check) {
-        bool failed = false;
-        if (off_pct > tolerance_pct) {
-            std::printf("FAIL: disabled-instrumentation overhead "
-                        "%.2f%% exceeds %.2f%%\n",
-                        off_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: disabled-instrumentation overhead "
-                        "%.2f%% within %.2f%%\n",
-                        off_pct, tolerance_pct);
+    std::printf("%d ABBA reps, one process per measurement; %zu 64 B "
+                "pairs (%zu 64 KiB spans) each; best-of ns/pair, paired "
+                "median overhead [95%% bootstrap interval]:\n",
+                reps, pairs, span_pairs);
+    bool failed = false;
+    std::vector<std::string> verdicts;
+    for (const Gate& gate : gates) {
+        const std::vector<double> pct = gate.paired_pct();
+        const double med = median(pct);
+        const auto [lo, hi] = bootstrap_median_ci(pct);
+        std::printf("  %-15s %-20s %8.2f  %-24s %8.2f  %+6.2f%% "
+                    "[%+.2f, %+.2f]  retimed %d\n",
+                    gate.name.c_str(), gate.base_label.c_str(),
+                    *std::min_element(gate.base_ns.begin(),
+                                      gate.base_ns.end()),
+                    gate.variant_label.c_str(),
+                    *std::min_element(gate.variant_ns.begin(),
+                                      gate.variant_ns.end()),
+                    med, lo, hi, gate.retimed);
+        bool pass = false;
+        char line[160];
+        switch (gate.rule) {
+          case Rule::within:
+            pass = med <= gate.budget_pct;
+            std::snprintf(line, sizeof line,
+                          "%s overhead %+.2f%% %s %.2f%%",
+                          gate.name.c_str(), med,
+                          pass ? "within" : "exceeds", gate.budget_pct);
+            break;
+          case Rule::faster:
+            pass = med < 0.0;
+            std::snprintf(line, sizeof line,
+                          "%s %+.2f%% vs mmap path (must be faster)",
+                          gate.name.c_str(), med);
+            break;
+          case Rule::flagged:
+            pass = med > gate.budget_pct;
+            std::snprintf(line, sizeof line,
+                          "%s %+.2f%% %s at the %.2f%% budget",
+                          gate.name.c_str(), med,
+                          pass ? "flagged" : "NOT flagged",
+                          gate.budget_pct);
+            break;
         }
-        if (huge_off_pct > tolerance_pct) {
-            std::printf("FAIL: huge-path disabled-instrumentation "
-                        "overhead %.2f%% exceeds %.2f%%\n",
-                        huge_off_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: huge-path disabled-instrumentation "
-                        "overhead %.2f%% within %.2f%%\n",
-                        huge_off_pct, tolerance_pct);
-        }
-        if (idle_pct > tolerance_pct) {
-            std::printf("FAIL: idle-sampler overhead %.2f%% exceeds "
-                        "%.2f%%\n",
-                        idle_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: idle-sampler overhead %.2f%% within "
-                        "%.2f%%\n",
-                        idle_pct, tolerance_pct);
-        }
-        if (hardened_pct > tolerance_pct) {
-            std::printf("FAIL: hardened-free overhead %.2f%% exceeds "
-                        "%.2f%%\n",
-                        hardened_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: hardened-free overhead %.2f%% within "
-                        "%.2f%%\n",
-                        hardened_pct, tolerance_pct);
-        }
-        if (prof_off_pct > tolerance_pct) {
-            std::printf("FAIL: unarmed-profiler overhead %.2f%% "
-                        "exceeds %.2f%%\n",
-                        prof_off_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: unarmed-profiler overhead %.2f%% within "
-                        "%.2f%%\n",
-                        prof_off_pct, tolerance_pct);
-        }
-        if (prof_on_pct > prof_tolerance_pct) {
-            std::printf("FAIL: armed-profiler overhead %.2f%% exceeds "
-                        "%.2f%%\n",
-                        prof_on_pct, prof_tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: armed-profiler overhead %.2f%% within "
-                        "%.2f%%\n",
-                        prof_on_pct, prof_tolerance_pct);
-        }
-        if (lat_off_pct > tolerance_pct) {
-            std::printf("FAIL: disarmed-latency overhead %.2f%% "
-                        "exceeds %.2f%%\n",
-                        lat_off_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: disarmed-latency overhead %.2f%% within "
-                        "%.2f%%\n",
-                        lat_off_pct, tolerance_pct);
-        }
-        if (lat_on_pct > lat_tolerance_pct) {
-            std::printf("FAIL: armed-latency overhead %.2f%% exceeds "
-                        "%.2f%%\n",
-                        lat_on_pct, lat_tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: armed-latency overhead %.2f%% within "
-                        "%.2f%%\n",
-                        lat_on_pct, lat_tolerance_pct);
-        }
-        // The arena carve must beat the mmap path outright — span
-        // recycling exists to delete the VMA round trip, and a
-        // regression to syscall parity would silently undo the page
-        // layer's reason to exist.
-        if (arena_span_pct >= 0.0) {
-            std::printf("FAIL: arena span carve %+.2f%% vs mmap — "
-                        "must be faster\n",
-                        arena_span_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: arena span carve %.2f%% faster than "
-                        "mmap path\n",
-                        -arena_span_pct);
-        }
-        if (failed)
-            return 1;
+        failed = failed || !pass;
+        verdicts.push_back(std::string(pass ? "PASS: " : "FAIL: ") +
+                           line);
     }
-    return 0;
+    if (!check)
+        return 0;
+    for (const std::string& verdict : verdicts)
+        std::printf("%s\n", verdict.c_str());
+    return failed ? 1 : 0;
 }

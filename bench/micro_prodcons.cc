@@ -32,7 +32,6 @@
 #include "core/hoard_allocator.h"
 #include "metrics/bench_report.h"
 #include "metrics/table.h"
-#include "obs/gating.h"
 #include "obs/latency.h"
 #include "policy/sim_policy.h"
 #include "sim/machine.h"
@@ -176,12 +175,6 @@ main(int argc, char** argv)
     // round ends in bin-refill / fresh-map traffic; small objects
     // never deplete the heap.
     params.object_bytes = 2048;
-
-    if (!obs::kCompiledIn) {
-        std::cout << "# micro-prodcons: skipped (HOARD_OBS=OFF build"
-                     " has no latency histograms)\n";
-        return 0;
-    }
 
     Config echo;
     metrics::BenchReport report(cli.bench_name, cli.quick);

@@ -40,7 +40,6 @@
 #include "core/hoard_allocator.h"
 #include "metrics/bench_report.h"
 #include "metrics/table.h"
-#include "obs/gating.h"
 #include "obs/latency.h"
 #include "obs/trace_export.h"
 #include "policy/sim_policy.h"
@@ -177,105 +176,99 @@ main(int argc, char** argv)
     }
 
     // Internal view: hoard's own per-path histograms, exact mode.
-    // Runs at P=8 where the slow paths actually fire.  Skipped (not
-    // failed) when the instrumentation is compiled out.
-    if (!obs::kCompiledIn) {
-        std::cout << "# hoard internal per-path latency: skipped "
-                     "(HOARD_OBS=OFF build)\n";
-    } else {
-        Config config;
-        config.heap_count = 8;
-        config.latency_histograms = true;
-        config.latency_sample_period = 1;
-        HoardAllocator<SimPolicy> hoard_alloc(config);
-        measure(hoard_alloc, 8, ops);
+    // Runs at P=8 where the slow paths actually fire.
+    Config config;
+    config.heap_count = 8;
+    config.latency_histograms = true;
+    config.latency_sample_period = 1;
+    HoardAllocator<SimPolicy> hoard_alloc(config);
+    measure(hoard_alloc, 8, ops);
 
-        // Snapshots take virtual mutexes: run the quiesced walk on a
-        // fresh one-processor checker machine, like every other sim
-        // introspection site.
-        obs::AllocatorSnapshot snap;
-        sim::Machine checker(1);
-        checker.spawn(0, 0, [&hoard_alloc, &snap] {
-            snap = hoard_alloc.take_snapshot();
-        });
-        checker.run();
+    // Snapshots take virtual mutexes: run the quiesced walk on a
+    // fresh one-processor checker machine, like every other sim
+    // introspection site.
+    obs::AllocatorSnapshot snap;
+    sim::Machine checker(1);
+    checker.spawn(0, 0, [&hoard_alloc, &snap] {
+        snap = hoard_alloc.take_snapshot();
+    });
+    checker.run();
 
-        std::cout << "# hoard internal per-path latency (virtual "
-                     "cycles, exact mode)\n";
-        metrics::Table table(
-            {"path", "n", "p50", "p99", "p99.9", "max"});
-        for (int p = 0; p < obs::kLatencyPathCount; ++p) {
-            const auto path = static_cast<obs::LatencyPath>(p);
-            const obs::LatencyHistogram& h = snap.latency.path(path);
-            if (h.count() == 0)
-                continue;
-            table.begin_row();
-            table.cell(obs::to_string(path));
-            table.cell_u64(h.count());
-            table.cell_double(h.percentile(50), 0);
-            table.cell_double(h.percentile(99), 0);
-            table.cell_double(h.percentile(99.9), 0);
-            table.cell_u64(h.max());
-            const std::string prefix =
-                std::string("latency/internal/") + obs::to_string(path);
-            report.add_metric(prefix + "/p50", h.percentile(50),
-                              "cycles", metrics::Better::info);
-            report.add_metric(prefix + "/p99", h.percentile(99),
-                              "cycles", metrics::Better::info);
-            report.add_metric(prefix + "/p999", h.percentile(99.9),
-                              "cycles", metrics::Better::info);
-        }
-        table.print(std::cout);
-
-        // Exact mode records every accepted op exactly once, so the
-        // histogram mass must reconcile with the op counters.
-        std::uint64_t malloc_ops = 0, free_ops = 0;
-        using obs::LatencyPath;
-        for (LatencyPath p : {LatencyPath::malloc_fast,
-                              LatencyPath::malloc_refill,
-                              LatencyPath::malloc_global_fetch,
-                              LatencyPath::malloc_fresh_map})
-            malloc_ops += snap.latency.path(p).count();
-        for (LatencyPath p : {LatencyPath::free_fast,
-                              LatencyPath::free_spill,
-                              LatencyPath::free_remote_push})
-            free_ops += snap.latency.path(p).count();
-        const bool counts_ok = malloc_ops == snap.stats.allocs &&
-                               free_ops == snap.stats.frees;
-
-        // And the Prometheus exposition must re-serialize the same
-        // percentiles the snapshot computes.
-        std::ostringstream prom;
-        obs::write_prometheus(prom, snap);
-        bool prom_ok = true;
-        for (int p = 0; p < obs::kLatencyPathCount; ++p) {
-            const auto path = static_cast<obs::LatencyPath>(p);
-            const obs::LatencyHistogram& h = snap.latency.path(path);
-            prom_ok = prom_ok &&
-                      prom_gauge_matches(prom.str(), obs::to_string(path),
-                                         "0.5", h.percentile(50)) &&
-                      prom_gauge_matches(prom.str(), obs::to_string(path),
-                                         "0.99", h.percentile(99)) &&
-                      prom_gauge_matches(prom.str(), obs::to_string(path),
-                                         "0.999", h.percentile(99.9));
-        }
-
-        std::cout << "count reconcile (histograms vs op counters): "
-                  << (counts_ok ? "PASS" : "FAIL") << " ("
-                  << malloc_ops << "/" << snap.stats.allocs
-                  << " mallocs, " << free_ops << "/" << snap.stats.frees
-                  << " frees)\n";
-        std::cout << "prometheus reconcile (gauges vs snapshot): "
-                  << (prom_ok ? "PASS" : "FAIL") << "\n";
-        report.add_metric("latency/internal/count_reconcile",
-                          counts_ok ? 1.0 : 0.0, "bool",
-                          metrics::Better::higher);
-        report.add_metric("latency/internal/prom_reconcile",
-                          prom_ok ? 1.0 : 0.0, "bool",
-                          metrics::Better::higher);
-        if (!counts_ok || !prom_ok)
-            return 1;
+    std::cout << "# hoard internal per-path latency (virtual "
+                 "cycles, exact mode)\n";
+    metrics::Table table(
+        {"path", "n", "p50", "p99", "p99.9", "max"});
+    for (int p = 0; p < obs::kLatencyPathCount; ++p) {
+        const auto path = static_cast<obs::LatencyPath>(p);
+        const obs::LatencyHistogram& h = snap.latency.path(path);
+        if (h.count() == 0)
+            continue;
+        table.begin_row();
+        table.cell(obs::to_string(path));
+        table.cell_u64(h.count());
+        table.cell_double(h.percentile(50), 0);
+        table.cell_double(h.percentile(99), 0);
+        table.cell_double(h.percentile(99.9), 0);
+        table.cell_u64(h.max());
+        const std::string prefix =
+            std::string("latency/internal/") + obs::to_string(path);
+        report.add_metric(prefix + "/p50", h.percentile(50),
+                          "cycles", metrics::Better::info);
+        report.add_metric(prefix + "/p99", h.percentile(99),
+                          "cycles", metrics::Better::info);
+        report.add_metric(prefix + "/p999", h.percentile(99.9),
+                          "cycles", metrics::Better::info);
     }
+    table.print(std::cout);
+
+    // Exact mode records every accepted op exactly once, so the
+    // histogram mass must reconcile with the op counters.
+    std::uint64_t malloc_ops = 0, free_ops = 0;
+    using obs::LatencyPath;
+    for (LatencyPath p : {LatencyPath::malloc_fast,
+                          LatencyPath::malloc_refill,
+                          LatencyPath::malloc_global_fetch,
+                          LatencyPath::malloc_fresh_map})
+        malloc_ops += snap.latency.path(p).count();
+    for (LatencyPath p : {LatencyPath::free_fast,
+                          LatencyPath::free_spill,
+                          LatencyPath::free_remote_push})
+        free_ops += snap.latency.path(p).count();
+    const bool counts_ok = malloc_ops == snap.stats.allocs &&
+                           free_ops == snap.stats.frees;
+
+    // And the Prometheus exposition must re-serialize the same
+    // percentiles the snapshot computes.
+    std::ostringstream prom;
+    obs::write_prometheus(prom, snap);
+    bool prom_ok = true;
+    for (int p = 0; p < obs::kLatencyPathCount; ++p) {
+        const auto path = static_cast<obs::LatencyPath>(p);
+        const obs::LatencyHistogram& h = snap.latency.path(path);
+        prom_ok = prom_ok &&
+                  prom_gauge_matches(prom.str(), obs::to_string(path),
+                                     "0.5", h.percentile(50)) &&
+                  prom_gauge_matches(prom.str(), obs::to_string(path),
+                                     "0.99", h.percentile(99)) &&
+                  prom_gauge_matches(prom.str(), obs::to_string(path),
+                                     "0.999", h.percentile(99.9));
+    }
+
+    std::cout << "count reconcile (histograms vs op counters): "
+              << (counts_ok ? "PASS" : "FAIL") << " ("
+              << malloc_ops << "/" << snap.stats.allocs
+              << " mallocs, " << free_ops << "/" << snap.stats.frees
+              << " frees)\n";
+    std::cout << "prometheus reconcile (gauges vs snapshot): "
+              << (prom_ok ? "PASS" : "FAIL") << "\n";
+    report.add_metric("latency/internal/count_reconcile",
+                      counts_ok ? 1.0 : 0.0, "bool",
+                      metrics::Better::higher);
+    report.add_metric("latency/internal/prom_reconcile",
+                      prom_ok ? 1.0 : 0.0, "bool",
+                      metrics::Better::higher);
+    if (!counts_ok || !prom_ok)
+        return 1;
 
     std::cout << "\n# Expected: hoard's tail stays within a small"
                  " multiple of its median; the serial allocator's p99"

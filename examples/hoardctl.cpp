@@ -134,12 +134,6 @@ main(int argc, char** argv)
     parser.add_flag("--quiet", "verdicts only", &opt.quiet);
     parser.parse(argc, argv);
 
-    if (!obs::kCompiledIn) {
-        std::fprintf(stderr,
-                     "hoardctl: observability compiled out "
-                     "(rebuild with -DHOARD_OBS=ON)\n");
-        return 2;
-    }
     const bool want_profile =
         !opt.profile_path.empty() || opt.profile_rate != 0;
     if (want_profile && !obs::kProfilerCompiledIn) {

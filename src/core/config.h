@@ -110,10 +110,11 @@ struct Config
     /**
      * Runtime switch for the observability layer (src/obs/): event
      * tracing into per-thread rings plus heap-lock contention
-     * profiling.  OR-ed with the HOARD_OBS environment variable, so a
-     * deployed binary can be traced without a rebuild.  Off by default:
-     * the only hot-path residue is one predicted-not-taken branch (and
-     * nothing at all when the HOARD_OBS build option is off).
+     * profiling.  The facade sets it from the HOARD_OBS environment
+     * variable for the process-wide instance, so a deployed binary can
+     * be traced without a rebuild; an allocator constructed directly
+     * reads only this field.  Off by default: the only hot-path
+     * residue is one predicted-not-taken branch.
      * Snapshots (take_snapshot) work regardless of this flag.
      */
     bool observability = false;
@@ -151,8 +152,9 @@ struct Config
      * fast path keeps a single null check (nothing at all when the
      * HOARD_PROFILER build option is off).  1 samples *every*
      * allocation (exact mode, used by the reconciliation tests).
-     * OR-ed with the HOARD_PROFILE_RATE environment variable by the
-     * facade, so a shimmed binary can be profiled without a rebuild.
+     * The facade sets it from the HOARD_PROFILE_RATE environment
+     * variable for the process-wide instance, so a shimmed binary can
+     * be profiled without a rebuild.
      */
     std::size_t profile_sample_rate = 0;
 
@@ -183,11 +185,11 @@ struct Config
     /**
      * Runtime switch for the tail-latency histograms (src/obs/
      * latency.h): per-path log-linear cycle histograms with
-     * deepest-stage attribution on the slow paths.  OR-ed with the
-     * HOARD_LATENCY environment variable by the facade.  Off by
-     * default: the hot-path residue is one null check on the same
-     * read-mostly cache line as the profiler pointer (nothing at all
-     * when the HOARD_OBS build option is off).
+     * deepest-stage attribution on the slow paths.  The facade sets it
+     * from the HOARD_LATENCY environment variable for the process-wide
+     * instance only.  Off by default: the hot-path residue is one null
+     * check on the same read-mostly cache line as the profiler
+     * pointer.
      */
     bool latency_histograms = false;
 

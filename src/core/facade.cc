@@ -57,11 +57,17 @@ global_allocator()
         // every allocation, unset/0 keeps it off.
         if (auto rate = detail::env_number("HOARD_PROFILE_RATE"))
             config.profile_sample_rate = static_cast<std::size_t>(*rate);
-        // HOARD_LATENCY=1 (read by the allocator constructor) arms the
-        // per-path latency histograms; HOARD_LATENCY_PERIOD tunes the
-        // fast-path timing sample period (1 = time every op), and
-        // HOARD_LATENCY_OUTLIER sets the outlier-trace threshold in
-        // cycles (docs/OBSERVABILITY.md).
+        // HOARD_OBS=1 arms event tracing and lock profiling
+        // (docs/OBSERVABILITY.md).
+        config.observability =
+            detail::env_flag("HOARD_OBS").value_or(false);
+        // HOARD_LATENCY=1 arms the per-path latency histograms;
+        // HOARD_LATENCY_PERIOD tunes the fast-path timing sample
+        // period (1 = time every op), and HOARD_LATENCY_OUTLIER sets
+        // the outlier-trace threshold in cycles
+        // (docs/OBSERVABILITY.md).
+        config.latency_histograms =
+            detail::env_flag("HOARD_LATENCY").value_or(false);
         if (auto period = detail::env_number("HOARD_LATENCY_PERIOD");
             period && *period >= 1 &&
             *period <= std::numeric_limits<std::uint32_t>::max())

@@ -112,7 +112,7 @@ obs::AllocatorSnapshot hoard_snapshot();
 
 /**
  * Event recorder of the global instance, or nullptr unless tracing was
- * enabled (HOARD_OBS env var at first use, with HOARD_OBS compiled in).
+ * enabled (HOARD_OBS env var at first use).
  */
 const obs::EventRecorder* hoard_event_recorder();
 
@@ -139,7 +139,7 @@ const obs::HeapProfiler* hoard_profiler();
 /**
  * The global instance's per-path latency collector, or nullptr unless
  * armed (Config::latency_histograms or the HOARD_LATENCY env var at
- * first use, with HOARD_OBS compiled in).
+ * first use).
  */
 const obs::LatencyCollector* hoard_latency();
 

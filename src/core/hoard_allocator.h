@@ -79,7 +79,6 @@
 #include "core/superblock.h"
 #include "core/superblock_cache.h"
 #include "obs/event_ring.h"
-#include "obs/gating.h"
 #include "obs/heap_profiler.h"
 #include "obs/latency.h"
 #include "obs/snapshot.h"
@@ -161,32 +160,27 @@ class HoardAllocator final : public Allocator
                     classes_.block_size(cls)));
             magazine_id_ = detail::magazine_register_allocator();
         }
-        if constexpr (Policy::kObsEnabled) {
-            if (config_.observability || obs::env_enabled()) {
-                recorder_ = std::make_unique<obs::EventRecorder>(
-                    config_.obs_ring_events);
-                for (auto& heap : heaps_)
-                    heap->mutex.set_profiled(true);
-                for (auto& bin : global_bins_)
-                    bin->mutex.set_profiled(true);
-                if (config_.obs_sample_interval > 0) {
-                    sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-                        config_.obs_sample_slots, heaps_.size() + 1,
-                        config_.obs_sample_interval);
-                }
+        if (config_.observability) {
+            recorder_ = std::make_unique<obs::EventRecorder>(
+                config_.obs_ring_events);
+            for (auto& heap : heaps_)
+                heap->mutex.set_profiled(true);
+            for (auto& bin : global_bins_)
+                bin->mutex.set_profiled(true);
+            if (config_.obs_sample_interval > 0) {
+                sampler_ = std::make_unique<obs::TimeSeriesSampler>(
+                    config_.obs_sample_slots, heaps_.size() + 1,
+                    config_.obs_sample_interval);
             }
         }
         // The latency histograms gate independently of observability,
         // like the profiler: disarmed leaves latency_ null, so the hot
         // paths keep one never-taken null check on the same read-mostly
         // cache line as the profiler pointer.
-        if constexpr (Policy::kObsEnabled) {
-            if (config_.latency_histograms ||
-                obs::latency_env_enabled()) {
-                latency_ = std::make_unique<obs::LatencyCollector>(
-                    config_.latency_sample_period,
-                    config_.latency_outlier_cycles);
-            }
+        if (config_.latency_histograms) {
+            latency_ = std::make_unique<obs::LatencyCollector>(
+                config_.latency_sample_period,
+                config_.latency_outlier_cycles);
         }
         // The profiler gates independently of observability: a
         // production process can attribute its heap without paying for
@@ -725,14 +719,12 @@ class HoardAllocator final : public Allocator
         snap.stats.bad_free_foreign = stats_.bad_free_foreign.get();
         snap.stats.bad_free_interior = stats_.bad_free_interior.get();
         snap.stats.bad_free_double = stats_.bad_free_double.get();
-        if constexpr (Policy::kObsEnabled) {
-            // Merged per-path latency histograms: fixed arrays, so no
-            // allocation here either; exact at quiescence like the
-            // counters above.
-            if (latency_ != nullptr) {
-                snap.latency = latency_->snapshot();
-                snap.latency_armed = true;
-            }
+        // Merged per-path latency histograms: fixed arrays, so no
+        // allocation here either; exact at quiescence like the
+        // counters above.
+        if (latency_ != nullptr) {
+            snap.latency = latency_->snapshot();
+            snap.latency_armed = true;
         }
         fill_global_snapshot(snap.heaps[0]);
         for (std::size_t i = 0; i < heaps_.size(); ++i)
@@ -763,8 +755,8 @@ class HoardAllocator final : public Allocator
     }
 
     /**
-     * The event recorder, or nullptr when tracing is off (runtime flag
-     * unset, or observability compiled out).
+     * The event recorder, or nullptr when tracing is off
+     * (Config::observability unset).
      */
     const obs::EventRecorder* recorder() const { return recorder_.get(); }
 
@@ -776,8 +768,7 @@ class HoardAllocator final : public Allocator
 
     /**
      * The time-series sampler, or nullptr when sampling is off
-     * (observability disabled, obs_sample_interval == 0, or
-     * observability compiled out).
+     * (observability disabled or obs_sample_interval == 0).
      */
     const obs::TimeSeriesSampler* sampler() const
     {
@@ -797,14 +788,10 @@ class HoardAllocator final : public Allocator
     bool
     sample_now()
     {
-        if constexpr (Policy::kObsEnabled) {
-            if (sampler_ == nullptr)
-                return false;
-            take_sample(sampler_->claim_flush(Policy::timestamp()));
-            return true;
-        } else {
+        if (sampler_ == nullptr)
             return false;
-        }
+        take_sample(sampler_->claim_flush(Policy::timestamp()));
+        return true;
     }
 
     /// @}
@@ -869,12 +856,10 @@ class HoardAllocator final : public Allocator
     {
         release_fork_locks();
         reuse_cache_.reset_poppers();
-        if constexpr (Policy::kObsEnabled) {
-            // A dead parent thread may have held the sampler's append
-            // ordering lock at the fork instant.
-            if (sampler_ != nullptr)
-                sampler_->child_after_fork();
-        }
+        // A dead parent thread may have held the sampler's append
+        // ordering lock at the fork instant.
+        if (sampler_ != nullptr)
+            sampler_->child_after_fork();
         flush_thread_caches();
         repair_after_fork();
     }
@@ -891,9 +876,8 @@ class HoardAllocator final : public Allocator
 
     /**
      * The latency collector, or null when disarmed
-     * (Config::latency_histograms off and HOARD_LATENCY unset, or
-     * observability compiled out).  Lock-free throughout; snapshots
-     * are exact at quiescence.
+     * (Config::latency_histograms off).  Lock-free throughout;
+     * snapshots are exact at quiescence.
      */
     const obs::LatencyCollector* latency() const { return latency_.get(); }
 
@@ -1102,10 +1086,8 @@ class HoardAllocator final : public Allocator
             record_event(obs::EventKind::cache_hit, my_heap_index(),
                          cls, classes_.block_size(cls));
         }
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr && lat_tick(node)) [[unlikely]]
-                return magazine_pop_timed(node, cls);
-        }
+        if (latency_ != nullptr && lat_tick(node)) [[unlikely]]
+            return magazine_pop_timed(node, cls);
         return magazine_pop_take(node, mag, cls);
     }
 
@@ -1153,19 +1135,15 @@ class HoardAllocator final : public Allocator
                          cls, classes_.block_size(cls));
         }
         obs::LatencyPath stage = obs::LatencyPath::malloc_refill;
-        [[maybe_unused]] std::uint64_t t0 = 0;
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                t0 = Policy::cycle_timestamp();
-        }
+        std::uint64_t t0 = 0;
+        if (latency_ != nullptr)
+            t0 = Policy::cycle_timestamp();
         if (refill_magazine(node, cls, &stage) == 0)
             return nullptr;
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
         void* block = magazine_pop_take(node, mag, cls);
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                latency_commit(stage, t0);
-        }
+        if (latency_ != nullptr)
+            latency_commit(stage, t0);
         return block;
     }
 
@@ -1193,11 +1171,9 @@ class HoardAllocator final : public Allocator
             magazine_push_spill(node, sb, cls, block);
             return;
         }
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr && lat_tick(node)) [[unlikely]] {
-                magazine_push_timed(node, sb, cls, block);
-                return;
-            }
+        if (latency_ != nullptr && lat_tick(node)) [[unlikely]] {
+            magazine_push_timed(node, sb, cls, block);
+            return;
         }
         magazine_park(node, mag, sb, block);
     }
@@ -1246,18 +1222,14 @@ class HoardAllocator final : public Allocator
     magazine_push_spill(detail::MagazineNode* node, Superblock* sb,
                         int cls, void* block)
     {
-        [[maybe_unused]] std::uint64_t t0 = 0;
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                t0 = Policy::cycle_timestamp();
-        }
+        std::uint64_t t0 = 0;
+        if (latency_ != nullptr)
+            t0 = Policy::cycle_timestamp();
         spill_magazine(node, cls);
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
         magazine_park(node, mag, sb, block);
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                latency_commit(obs::LatencyPath::free_spill, t0);
-        }
+        if (latency_ != nullptr)
+            latency_commit(obs::LatencyPath::free_spill, t0);
     }
 
     /**
@@ -1554,11 +1526,9 @@ class HoardAllocator final : public Allocator
         // no-work case clock-free): the owner settling its remote
         // queue is a distinct slow-path stage, nested inside whichever
         // op visited the lock.
-        [[maybe_unused]] std::uint64_t t0 = 0;
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                t0 = Policy::cycle_timestamp();
-        }
+        std::uint64_t t0 = 0;
+        if (latency_ != nullptr)
+            t0 = Policy::cycle_timestamp();
         void* chain = home.remote_drain();
         std::size_t drained = 0;
         while (chain != nullptr) {
@@ -1578,10 +1548,8 @@ class HoardAllocator final : public Allocator
         }
         if (drained != 0) {
             stats_.remote_drains.add(drained);
-            if constexpr (Policy::kObsEnabled) {
-                if (latency_ != nullptr)
-                    latency_commit(obs::LatencyPath::owner_drain, t0);
-            }
+            if (latency_ != nullptr)
+                latency_commit(obs::LatencyPath::owner_drain, t0);
         }
         return drained;
     }
@@ -1635,40 +1603,29 @@ class HoardAllocator final : public Allocator
     /// @}
 
     /**
-     * True when events should be recorded.  A constant false when
-     * observability is compiled out, so `if (tracing())` folds away
-     * along with its argument computations.
+     * True when events should be recorded.  Sites test it before
+     * computing event arguments, so a disarmed recorder costs one
+     * predicted branch.
      */
     bool
     tracing() const
     {
-        if constexpr (Policy::kObsEnabled)
-            return recorder_ != nullptr;
-        else
-            return false;
+        return recorder_ != nullptr;
     }
 
     /**
-     * Records one trace event.  Compiles to nothing when observability
-     * is off at build time; costs one predicted branch when tracing is
-     * off at run time.  Safe to call with or without heap locks held
+     * Records one trace event; costs one predicted branch when
+     * tracing is off.  Safe to call with or without heap locks held
      * (the ring is lock-free).
      */
     void
     record_event(obs::EventKind kind, int heap, int size_class,
                  std::uint64_t bytes)
     {
-        if constexpr (Policy::kObsEnabled) {
-            if (recorder_ != nullptr) {
-                recorder_->record(Policy::timestamp(),
-                                  Policy::thread_index(), kind, heap,
-                                  size_class, bytes);
-            }
-        } else {
-            (void)kind;
-            (void)heap;
-            (void)size_class;
-            (void)bytes;
+        if (recorder_ != nullptr) {
+            recorder_->record(Policy::timestamp(),
+                              Policy::thread_index(), kind, heap,
+                              size_class, bytes);
         }
     }
 
@@ -1715,16 +1672,10 @@ class HoardAllocator final : public Allocator
     void
     latency_commit(obs::LatencyPath path, std::uint64_t t0)
     {
-        if constexpr (Policy::kObsEnabled) {
-            const std::uint64_t elapsed =
-                Policy::cycle_timestamp() - t0;
-            latency_->record(Policy::thread_index(), path, elapsed);
-            if (latency_->is_outlier(elapsed)) [[unlikely]]
-                latency_outlier_slow(path, elapsed);
-        } else {
-            (void)path;
-            (void)t0;
-        }
+        const std::uint64_t elapsed = Policy::cycle_timestamp() - t0;
+        latency_->record(Policy::thread_index(), path, elapsed);
+        if (latency_->is_outlier(elapsed)) [[unlikely]]
+            latency_outlier_slow(path, elapsed);
     }
 
     /**
@@ -1736,21 +1687,15 @@ class HoardAllocator final : public Allocator
     __attribute__((noinline, cold)) void
     latency_outlier_slow(obs::LatencyPath path, std::uint64_t elapsed)
     {
-        if constexpr (Policy::kObsEnabled) {
-            std::uintptr_t
-                frames[obs::LatencyCollector::kMaxOutlierFrames];
-            int n = Policy::profile_backtrace(
-                frames, obs::LatencyCollector::kMaxOutlierFrames);
-            latency_->record_outlier(Policy::timestamp(),
-                                     Policy::thread_index(), path,
-                                     elapsed, frames, n);
-            record_event(obs::EventKind::latency_outlier,
-                         my_heap_index(), static_cast<int>(path),
-                         elapsed);
-        } else {
-            (void)path;
-            (void)elapsed;
-        }
+        std::uintptr_t frames[obs::LatencyCollector::kMaxOutlierFrames];
+        int n = Policy::profile_backtrace(
+            frames, obs::LatencyCollector::kMaxOutlierFrames);
+        latency_->record_outlier(Policy::timestamp(),
+                                 Policy::thread_index(), path,
+                                 elapsed, frames, n);
+        record_event(obs::EventKind::latency_outlier,
+                     my_heap_index(), static_cast<int>(path),
+                     elapsed);
     }
 
     /// @}
@@ -1767,25 +1712,22 @@ class HoardAllocator final : public Allocator
      * tail of deallocate(), where no locks are held — take_sample()
      * acquires each heap's lock one at a time, which would
      * self-deadlock from inside a locked region in whole-process
-     * deployments (global_new.h).  Compiles to nothing when
-     * observability is off at build time; when sampling is off at run
-     * time the cost is one null check per free.
+     * deployments (global_new.h).  When sampling is off the cost is
+     * one null check per free.
      */
     void
     maybe_sample()
     {
-        if constexpr (Policy::kObsEnabled) {
-            if (sampler_ == nullptr)
-                return;
-            thread_local unsigned countdown = kSampleCheckPeriod;
-            if (--countdown != 0)
-                return;
-            countdown = kSampleCheckPeriod;
-            std::uint64_t now = Policy::timestamp();
-            if (!sampler_->claim_due(now))
-                return;
-            take_sample(now);
-        }
+        if (sampler_ == nullptr)
+            return;
+        thread_local unsigned countdown = kSampleCheckPeriod;
+        if (--countdown != 0)
+            return;
+        countdown = kSampleCheckPeriod;
+        std::uint64_t now = Policy::timestamp();
+        if (!sampler_->claim_due(now))
+            return;
+        take_sample(now);
     }
 
     /**
@@ -1798,66 +1740,61 @@ class HoardAllocator final : public Allocator
     void
     take_sample(std::uint64_t now)
     {
-        if constexpr (Policy::kObsEnabled) {
-            // Drain-and-attribute, like take_snapshot(): settle pending
-            // remote frees so per-heap u_i matches the gauges, and sum
-            // cached bytes from the magazine nodes (the global gauge
-            // lags by up to a partial batch per thread).
-            drain_all_remote();
-            fold_stats();
-            std::uint64_t cached = 0;
-            if (magazine_id_ != 0) {
-                std::lock_guard<typename Policy::Mutex> guard(
-                    cache_mutex_);
-                for (detail::MagazineNode* node = cache_nodes_;
-                     node != nullptr; node = node->next_in_set)
-                    cached += node->occupancy_bytes.load(
-                        std::memory_order_relaxed);
+        // Drain-and-attribute, like take_snapshot(): settle pending
+        // remote frees so per-heap u_i matches the gauges, and sum
+        // cached bytes from the magazine nodes (the global gauge
+        // lags by up to a partial batch per thread).
+        drain_all_remote();
+        fold_stats();
+        std::uint64_t cached = 0;
+        if (magazine_id_ != 0) {
+            std::lock_guard<typename Policy::Mutex> guard(cache_mutex_);
+            for (detail::MagazineNode* node = cache_nodes_;
+                 node != nullptr; node = node->next_in_set)
+                cached += node->occupancy_bytes.load(
+                    std::memory_order_relaxed);
+        }
+        obs::TimeSeriesSampler::Writer writer =
+            sampler_->begin_sample(now);
+        writer.set_gauges(stats_.in_use_bytes.current(),
+                          stats_.held_bytes.current(),
+                          stats_.committed_bytes.current(), cached);
+        writer.set_vm(provider_.reserved_bytes(),
+                      stats_.purged_bytes.current());
+        writer.set_counters(stats_.allocs.get(), stats_.frees.get(),
+                            stats_.superblock_transfers.get(),
+                            stats_.global_fetches.get());
+        writer.set_slowpath(stats_.global_bin_hits.get(),
+                            stats_.global_bin_misses.get(),
+                            stats_.cache_pushes.get(),
+                            stats_.cache_pops.get());
+        writer.set_bad_frees(stats_.bad_free_wild.get(),
+                             stats_.bad_free_foreign.get(),
+                             stats_.bad_free_interior.get(),
+                             stats_.bad_free_double.get());
+        if constexpr (Policy::kProfilerEnabled) {
+            if (profiler_ != nullptr) {
+                const obs::ProfilerTotals pt = profiler_->totals();
+                writer.set_profiler(pt.sampled_requested,
+                                    pt.sampled_rounded);
             }
-            obs::TimeSeriesSampler::Writer writer =
-                sampler_->begin_sample(now);
-            writer.set_gauges(stats_.in_use_bytes.current(),
-                              stats_.held_bytes.current(),
-                              stats_.committed_bytes.current(), cached);
-            writer.set_vm(provider_.reserved_bytes(),
-                          stats_.purged_bytes.current());
-            writer.set_counters(stats_.allocs.get(), stats_.frees.get(),
-                                stats_.superblock_transfers.get(),
-                                stats_.global_fetches.get());
-            writer.set_slowpath(stats_.global_bin_hits.get(),
-                                stats_.global_bin_misses.get(),
-                                stats_.cache_pushes.get(),
-                                stats_.cache_pops.get());
-            writer.set_bad_frees(stats_.bad_free_wild.get(),
-                                 stats_.bad_free_foreign.get(),
-                                 stats_.bad_free_interior.get(),
-                                 stats_.bad_free_double.get());
-            if constexpr (Policy::kProfilerEnabled) {
-                if (profiler_ != nullptr) {
-                    const obs::ProfilerTotals pt = profiler_->totals();
-                    writer.set_profiler(pt.sampled_requested,
-                                        pt.sampled_rounded);
-                }
-            }
-            if (latency_ != nullptr) {
-                // LatencySnapshot is fixed-size arrays on the stack —
-                // no allocation, so the no-alloc contract above holds.
-                const obs::LatencySnapshot lat = latency_->snapshot();
-                for (int p = 0; p < obs::kLatencyPathCount; ++p)
-                    writer.set_latency(
-                        p, lat.paths[static_cast<std::size_t>(p)].count(),
-                        static_cast<std::uint64_t>(
-                            lat.paths[static_cast<std::size_t>(p)]
-                                .percentile(99.0)));
-            }
-            writer.set_heap(0, heap_in_use(0), heap_held(0));
-            for (std::size_t i = 0; i < heaps_.size(); ++i) {
-                Heap& heap = *heaps_[i];
-                std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
-                writer.set_heap(i + 1, heap.in_use, heap.held);
-            }
-        } else {
-            (void)now;
+        }
+        if (latency_ != nullptr) {
+            // LatencySnapshot is fixed-size arrays on the stack —
+            // no allocation, so the no-alloc contract above holds.
+            const obs::LatencySnapshot lat = latency_->snapshot();
+            for (int p = 0; p < obs::kLatencyPathCount; ++p)
+                writer.set_latency(
+                    p, lat.paths[static_cast<std::size_t>(p)].count(),
+                    static_cast<std::uint64_t>(
+                        lat.paths[static_cast<std::size_t>(p)]
+                            .percentile(99.0)));
+        }
+        writer.set_heap(0, heap_in_use(0), heap_held(0));
+        for (std::size_t i = 0; i < heaps_.size(); ++i) {
+            Heap& heap = *heaps_[i];
+            std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
+            writer.set_heap(i + 1, heap.in_use, heap.held);
         }
     }
 
@@ -1895,8 +1832,7 @@ class HoardAllocator final : public Allocator
                 }
             }
         }
-        if constexpr (Policy::kObsEnabled)
-            hs.lock = heap.mutex.stats_locked();
+        hs.lock = heap.mutex.stats_locked();
     }
 
     /**
@@ -1930,12 +1866,10 @@ class HoardAllocator final : public Allocator
                             sb->block_bytes();
                 }
             }
-            if constexpr (Policy::kObsEnabled) {
-                obs::LockStats ls = bin.mutex.stats_locked();
-                hs.lock.acquires += ls.acquires;
-                hs.lock.contended += ls.contended;
-                hs.lock.wait.merge(ls.wait);
-            }
+            obs::LockStats ls = bin.mutex.stats_locked();
+            hs.lock.acquires += ls.acquires;
+            hs.lock.contended += ls.contended;
+            hs.lock.wait.merge(ls.wait);
         }
         hs.empty_cached = reuse_cache_.size();
         hs.held += hs.empty_cached * config_.superblock_bytes;
@@ -1959,10 +1893,8 @@ class HoardAllocator final : public Allocator
     void*
     allocate_from_class(int cls, std::size_t size)
     {
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr) [[unlikely]]
-                return allocate_from_class_timed(cls, size);
-        }
+        if (latency_ != nullptr) [[unlikely]]
+            return allocate_from_class_timed(cls, size);
         void* block = try_allocate_from_class(cls, size);
         if (block == nullptr) {
             stats_.oom_reclaims.add();
@@ -2026,26 +1958,20 @@ class HoardAllocator final : public Allocator
 
         bool fresh = false;
         if (sb == nullptr) {
-            if constexpr (Policy::kObsEnabled) {
-                if (probe != nullptr)
-                    probe->begin(Policy::cycle_timestamp());
-            }
+            if (probe != nullptr)
+                probe->begin(Policy::cycle_timestamp());
             sb = fetch_from_global(cls, heap);
             if (sb != nullptr) {
-                if constexpr (Policy::kObsEnabled) {
-                    if (probe != nullptr)
-                        probe->raise(
-                            obs::LatencyPath::malloc_global_fetch);
-                }
+                if (probe != nullptr)
+                    probe->raise(
+                        obs::LatencyPath::malloc_global_fetch);
             } else {
                 sb = fresh_superblock(cls);
                 if (sb == nullptr)
                     return nullptr;  // OS exhausted
                 fresh = true;
-                if constexpr (Policy::kObsEnabled) {
-                    if (probe != nullptr)
-                        probe->raise(obs::LatencyPath::malloc_fresh_map);
-                }
+                if (probe != nullptr)
+                    probe->raise(obs::LatencyPath::malloc_fresh_map);
                 // A fresh superblock is invisible to other threads (no
                 // block of it has escaped), so adopting it outside the
                 // global lock is race-free.
@@ -2096,13 +2022,11 @@ class HoardAllocator final : public Allocator
         // branch the op takes (owner-locked accept = free_fast, busy
         // owner = free_remote_push).  A rejected double free records
         // nothing, matching the untouched op counters.
-        [[maybe_unused]] std::uint64_t t0 = 0;
-        [[maybe_unused]] bool timed = false;
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr && latency_->tick()) [[unlikely]] {
-                timed = true;
-                t0 = Policy::cycle_timestamp();
-            }
+        std::uint64_t t0 = 0;
+        bool timed = false;
+        if (latency_ != nullptr && latency_->tick()) [[unlikely]] {
+            timed = true;
+            t0 = Policy::cycle_timestamp();
         }
         void* block = sb->block_start(p);
         // Read before freeing: once the block lands, an emptied
@@ -2114,11 +2038,9 @@ class HoardAllocator final : public Allocator
             if (home->mutex.is_locked_hint()) {
                 remote_free(*home, sb, block);
                 shared_ops_.count_free_shared(block_bytes);
-                if constexpr (Policy::kObsEnabled) {
-                    if (timed)
-                        latency_commit(
-                            obs::LatencyPath::free_remote_push, t0);
-                }
+                if (timed)
+                    latency_commit(
+                        obs::LatencyPath::free_remote_push, t0);
                 return;
             }
             // The hint can go stale before the acquire; then we block
@@ -2143,10 +2065,8 @@ class HoardAllocator final : public Allocator
             home->ops.count_free(block_bytes);
             Policy::work(CostKind::list_op);
             settle_and_unlock(*home);
-            if constexpr (Policy::kObsEnabled) {
-                if (timed)
-                    latency_commit(obs::LatencyPath::free_fast, t0);
-            }
+            if (timed)
+                latency_commit(obs::LatencyPath::free_fast, t0);
             return;
         }
     }
@@ -2795,11 +2715,9 @@ class HoardAllocator final : public Allocator
     void*
     allocate_huge(std::size_t size, std::size_t align)
     {
-        [[maybe_unused]] std::uint64_t t0 = 0;
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                t0 = Policy::cycle_timestamp();
-        }
+        std::uint64_t t0 = 0;
+        if (latency_ != nullptr)
+            t0 = Policy::cycle_timestamp();
         void* p = try_allocate_huge(size, align);
         if (p == nullptr) {
             stats_.oom_reclaims.add();
@@ -2810,10 +2728,8 @@ class HoardAllocator final : public Allocator
             if (p == nullptr)
                 stats_.oom_failures.add();
         }
-        if constexpr (Policy::kObsEnabled) {
-            if (p != nullptr && latency_ != nullptr)
-                latency_commit(obs::LatencyPath::malloc_fresh_map, t0);
-        }
+        if (p != nullptr && latency_ != nullptr)
+            latency_commit(obs::LatencyPath::malloc_fresh_map, t0);
         return p;
     }
 
@@ -2862,11 +2778,9 @@ class HoardAllocator final : public Allocator
         // Always timed when armed; recorded as free_fast (a huge free
         // is rare, and its munmap cost is genuine free-path latency —
         // docs/OBSERVABILITY.md documents the attribution).
-        [[maybe_unused]] std::uint64_t t0 = 0;
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                t0 = Policy::cycle_timestamp();
-        }
+        std::uint64_t t0 = 0;
+        if (latency_ != nullptr)
+            t0 = Policy::cycle_timestamp();
         Policy::work(CostKind::os_map);
         {
             HugeStripe& stripe = huge_stripe_for(sb);
@@ -2880,10 +2794,8 @@ class HoardAllocator final : public Allocator
         stats_.committed_bytes.sub(total);
         sb->~Superblock();
         provider_.unmap(sb, total);
-        if constexpr (Policy::kObsEnabled) {
-            if (latency_ != nullptr)
-                latency_commit(obs::LatencyPath::free_fast, t0);
-        }
+        if (latency_ != nullptr)
+            latency_commit(obs::LatencyPath::free_fast, t0);
     }
 
     /** Destructor support: unmaps every superblock still held. */
@@ -3055,8 +2967,8 @@ class HoardAllocator final : public Allocator
     /// can still pair sampled frees.
     std::unique_ptr<obs::HeapProfiler> profiler_;
     /// Per-path latency histograms; non-null only when armed
-    /// (Config::latency_histograms or HOARD_LATENCY).  Read-mostly
-    /// like profiler_, for the same disarmed-null-check reason.
+    /// (Config::latency_histograms).  Read-mostly like profiler_, for
+    /// the same disarmed-null-check reason.
     std::unique_ptr<obs::LatencyCollector> latency_;
     /// Hull of every span ever mapped for this instance; [max, 0)
     /// until the first map, so a fresh allocator rejects everything.

@@ -6,8 +6,8 @@
 #include <thread>
 
 #include "baselines/factory.h"
+#include "common/env.h"
 #include "metrics/speedup.h"
-#include "obs/gating.h"
 
 namespace hoard {
 namespace metrics {
@@ -120,8 +120,8 @@ BenchReport::environment_json()
 #endif
     env.set("pointer_bits",
             JsonValue::make_number(sizeof(void*) * 8.0));
-    env.set("obs_compiled", JsonValue::make_bool(obs::kCompiledIn));
-    env.set("obs_env", JsonValue::make_bool(obs::env_enabled()));
+    env.set("obs_env", JsonValue::make_bool(
+                           detail::env_flag("HOARD_OBS").value_or(false)));
     env.set("hardware_threads",
             JsonValue::make_number(static_cast<double>(
                 std::thread::hardware_concurrency())));

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "obs/gating.h"
 #include "obs/latency.h"
 
 namespace hoard {
@@ -55,12 +54,10 @@ class ProfiledMutex
     void
     lock()
     {
-        if constexpr (Policy::kObsEnabled) {
-            if (profiled_) {
-                lock_profiled();
-                held_.store(true, std::memory_order_relaxed);
-                return;
-            }
+        if (profiled_) {
+            lock_profiled();
+            held_.store(true, std::memory_order_relaxed);
+            return;
         }
         inner_.lock();
         held_.store(true, std::memory_order_relaxed);
@@ -70,10 +67,8 @@ class ProfiledMutex
     try_lock()
     {
         bool ok = inner_.try_lock();
-        if constexpr (Policy::kObsEnabled) {
-            if (ok && profiled_)
-                ++stats_.acquires;
-        }
+        if (ok && profiled_)
+            ++stats_.acquires;
         if (ok)
             held_.store(true, std::memory_order_relaxed);
         return ok;

@@ -1,37 +1,29 @@
 /**
  * @file
- * Observability gating (DESIGN.md; docs/OBSERVABILITY.md).
+ * Compile-time gate of the sampling heap profiler (docs/PROFILING.md).
  *
- * Two independent switches decide whether the allocator records
- * anything:
+ * The HOARD_PROFILER CMake option (default ON) defines the
+ * HOARD_PROFILER macro.  When 0, every profiler hook in the allocator
+ * is removed by `if constexpr` on Policy::kProfilerEnabled.  The switch
+ * stays because it earns its keep: on the shipped magazine pair the
+ * unarmed hooks cost 3-5% against the compiled-out build, over the 2%
+ * budget (bench/micro_obs_overhead.cc gates it as "profiler off").
  *
- *  - Compile time: the HOARD_OBS CMake option (default ON) defines the
- *    HOARD_OBS macro.  When 0, every instrumentation site in the
- *    allocator is removed by `if constexpr` on Policy::kObsEnabled and
- *    the hot paths are bit-identical to an uninstrumented build.
- *  - Run time: Config::observability, OR-ed with the HOARD_OBS
- *    environment flag (common/env.h grammar).  When off (the default),
- *    the only residual cost on the hot path is one predictable branch
- *    on a plain bool.
+ * Everything else in src/obs/ (tracing, lock profiling, latency
+ * histograms, the timeline sampler) is always compiled in and gated
+ * only at run time, by Config fields the facade sets from the HOARD_*
+ * environment knobs for the process-wide instance.
  *
- * The compile-time switch is surfaced as a Policy constant rather than
- * used directly so a single binary can instantiate both an instrumented
- * and an uninstrumented allocator (bench/micro_obs_overhead.cc measures
- * one against the other).
+ * The switch is surfaced as a Policy constant rather than used
+ * directly so a single binary can instantiate both a profiled and an
+ * unprofiled allocator, which the overhead gate measures one against
+ * the other.
  */
 
 #ifndef HOARD_OBS_GATING_H_
 #define HOARD_OBS_GATING_H_
 
-#include "common/env.h"
-
-// Builds that bypass CMake get the instrumented default.
-#ifndef HOARD_OBS
-#define HOARD_OBS 1
-#endif
-
-// The sampling heap profiler gates independently (HOARD_PROFILER CMake
-// option): a build can keep site attribution while dropping tracing.
+// Builds that bypass CMake get the profiled default.
 #ifndef HOARD_PROFILER
 #define HOARD_PROFILER 1
 #endif
@@ -39,30 +31,8 @@
 namespace hoard {
 namespace obs {
 
-/** True when instrumentation is compiled into this build. */
-inline constexpr bool kCompiledIn = HOARD_OBS != 0;
-
 /** True when the sampling heap profiler is compiled into this build. */
 inline constexpr bool kProfilerCompiledIn = HOARD_PROFILER != 0;
-
-/** True when the HOARD_OBS environment flag requests tracing. */
-inline bool
-env_enabled()
-{
-    static const bool enabled =
-        detail::env_flag("HOARD_OBS").value_or(false);
-    return enabled;
-}
-
-/** True when the HOARD_LATENCY environment flag arms the latency
-    histograms. */
-inline bool
-latency_env_enabled()
-{
-    static const bool enabled =
-        detail::env_flag("HOARD_LATENCY").value_or(false);
-    return enabled;
-}
 
 }  // namespace obs
 }  // namespace hoard

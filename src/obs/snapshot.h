@@ -61,7 +61,7 @@ struct HeapSnapshot
     /** Non-empty size classes only. */
     std::vector<ClassSnapshot> classes;
 
-    /** Heap-lock contention profile (zeros when obs is compiled out). */
+    /** Heap-lock contention profile (zeros unless observability is on). */
     LockStats lock;
 
     /**

@@ -20,9 +20,8 @@
  *    relaxed atomic, rings overwrite, racing readers can at worst see
  *    a mixed sample, never UB.  Quiesced reads are exact.
  *
- * The sampler is gated like the rest of src/obs/: compiled out with
- * Policy::kObsEnabled, created at runtime only when observability is
- * on and Config::obs_sample_interval > 0.
+ * The sampler is gated like the rest of src/obs/: created at run time
+ * only when observability is on and Config::obs_sample_interval > 0.
  */
 
 #ifndef HOARD_OBS_TIMESERIES_H_

@@ -97,18 +97,11 @@ struct NativePolicy
     using Event = NativeEvent;
 
     /**
-     * Whether observability instrumentation is compiled into allocators
-     * instantiated with this policy (HOARD_OBS CMake option).  A policy
-     * subclass can override it to false to stamp out an uninstrumented
-     * allocator in an instrumented build (bench/micro_obs_overhead.cc).
-     */
-    static constexpr bool kObsEnabled = obs::kCompiledIn;
-
-    /**
      * Whether the sampling heap profiler is compiled into allocators
-     * instantiated with this policy (HOARD_PROFILER CMake option).
-     * Overridable to false for uninstrumented bench baselines, exactly
-     * like kObsEnabled.
+     * instantiated with this policy (HOARD_PROFILER CMake option).  A
+     * policy subclass can override it to false to stamp out an
+     * unprofiled allocator in a profiled build
+     * (bench/micro_obs_overhead.cc).
      */
     static constexpr bool kProfilerEnabled = obs::kProfilerCompiledIn;
 

@@ -27,9 +27,6 @@ struct SimPolicy
     using Mutex = sim::VirtualMutex;
     using Event = sim::VirtualEvent;
 
-    /** @see NativePolicy::kObsEnabled */
-    static constexpr bool kObsEnabled = obs::kCompiledIn;
-
     /** @see NativePolicy::kProfilerEnabled */
     static constexpr bool kProfilerEnabled = obs::kProfilerCompiledIn;
 

@@ -270,8 +270,7 @@ TEST(FacadeEnvDeathTest, OutOfRangeKnobsAreIgnored)
          [] { return !hardened_free_is_off(); }},
         {"HOARD_HUGEPAGE", "on", [] { return arena_options().huge_pages; }},
         {"HOARD_HUGEPAGE", "2", [] { return !arena_options().huge_pages; }},
-        {"HOARD_LATENCY", "true",
-         [] { return (hoard_latency() != nullptr) == obs::kCompiledIn; }},
+        {"HOARD_LATENCY", "true", [] { return hoard_latency() != nullptr; }},
         {"HOARD_OBS", "yes",
          [] { return hoard_event_recorder() == nullptr; }},
     };
@@ -288,6 +287,30 @@ TEST(FacadeEnvDeathTest, OutOfRangeKnobsAreIgnored)
             << c.name << "=" << c.value;
         unsetenv(c.name);
     }
+}
+
+// HOARD_OBS and HOARD_LATENCY are knobs of the process-wide instance,
+// read next to every other HOARD_* knob: an allocator constructed
+// directly (a simulator run, a bench's disarmed variant) keeps exactly
+// the Config it was given.
+TEST(FacadeEnvDeathTest, ObsAndLatencyEnvArmOnlyTheGlobalInstance)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_EQ(setenv("HOARD_OBS", "1", 1), 0);
+    ASSERT_EQ(setenv("HOARD_LATENCY", "1", 1), 0);
+    EXPECT_EXIT(
+        {
+            alarm(30);
+            const bool global_armed = hoard_event_recorder() != nullptr &&
+                                      hoard_latency() != nullptr;
+            HoardAllocator<NativePolicy> direct{Config{}};
+            const bool direct_disarmed = direct.recorder() == nullptr &&
+                                         direct.latency() == nullptr;
+            std::exit(global_armed && direct_disarmed ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    unsetenv("HOARD_OBS");
+    unsetenv("HOARD_LATENCY");
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 
 #include "core/hoard_allocator.h"
 #include "obs/event_ring.h"
-#include "obs/gating.h"
 #include "obs/latency.h"
 #include "policy/native_policy.h"
 #include "policy/sim_policy.h"
@@ -82,9 +81,6 @@ check_reconciles(const obs::AllocatorSnapshot& snap)
 
 TEST(LatencyWorld, NativeLarsonReconciles)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     constexpr int kThreads = 4;
     Config config;
     config.heap_count = kThreads;
@@ -110,9 +106,6 @@ TEST(LatencyWorld, NativeLarsonReconciles)
 
 TEST(LatencyWorld, NativeDisarmedByDefault)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     Config config;
     config.heap_count = 2;
     HoardAllocator<NativePolicy> allocator(config);
@@ -127,9 +120,6 @@ TEST(LatencyWorld, NativeDisarmedByDefault)
 
 TEST(LatencyWorld, NativeOutliersTraceIntoEventRing)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     Config config;
     config.heap_count = 2;
     config.observability = true;  // event ring for the trace records
@@ -168,9 +158,6 @@ TEST(LatencyWorld, NativeOutliersTraceIntoEventRing)
 
 TEST(LatencyWorld, SimLarsonReconciles)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     constexpr int kThreads = 4;
     Config config;
     config.heap_count = kThreads;
@@ -227,9 +214,6 @@ sim_run_snapshot()
 
 TEST(LatencyWorld, SimRunsAreByteIdentical)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     // Virtual time plus commutative recording: two identical runs
     // must merge to byte-identical histograms — every bucket, count,
     // sum, and max equal across all 8 paths (operator== compares them

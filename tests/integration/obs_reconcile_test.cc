@@ -19,7 +19,6 @@
 #include <string>
 
 #include "core/hoard_allocator.h"
-#include "obs/gating.h"
 #include "obs/trace_export.h"
 #include "policy/native_policy.h"
 #include "policy/sim_policy.h"
@@ -44,9 +43,6 @@ small_larson(int nthreads)
 
 TEST(ObsReconcile, NativeLarsonRun)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     constexpr int kThreads = 4;
     Config config;
     config.heap_count = kThreads;
@@ -116,9 +112,6 @@ TEST(ObsReconcile, NativeLarsonRun)
 
 TEST(ObsReconcile, SimLarsonRun)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     constexpr int kThreads = 4;
     Config config;
     config.heap_count = kThreads;

@@ -22,7 +22,6 @@
 
 #include "core/hoard_allocator.h"
 #include "metrics/json_value.h"
-#include "obs/gating.h"
 #include "obs/timeseries.h"
 #include "obs/trace_export.h"
 #include "policy/native_policy.h"
@@ -110,9 +109,6 @@ check_quiesced(HoardAllocator<Policy>& allocator,
 
 TEST(TimeseriesWorld, NativeLarsonRun)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     constexpr int kThreads = 4;
     Config config;
     config.heap_count = kThreads;
@@ -139,9 +135,6 @@ TEST(TimeseriesWorld, NativeLarsonRun)
 
 TEST(TimeseriesWorld, SimLarsonRun)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
-
     constexpr int kThreads = 4;
     Config config;
     config.heap_count = kThreads;

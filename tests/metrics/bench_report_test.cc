@@ -47,7 +47,7 @@ TEST(BenchReport, EmitsValidSchemaDocument)
     const JsonValue* env = doc.find("environment");
     ASSERT_NE(env, nullptr);
     EXPECT_NE(env->find("compiler"), nullptr);
-    EXPECT_NE(env->find("obs_compiled"), nullptr);
+    EXPECT_NE(env->find("obs_env"), nullptr);
     EXPECT_NE(env->find("hardware_threads"), nullptr);
 
     const JsonValue* metrics = doc.find("metrics");

@@ -31,8 +31,6 @@ TEST(ProfiledMutex, UnprofiledStaysSilent)
 
 TEST(ProfiledMutex, CountsUncontendedAcquires)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
     ProfiledMutex<NativePolicy> m;
     m.set_profiled(true);
     for (int i = 0; i < 25; ++i) {
@@ -48,8 +46,6 @@ TEST(ProfiledMutex, CountsUncontendedAcquires)
 
 TEST(ProfiledMutex, CountsSuccessfulTryLocks)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
     ProfiledMutex<NativePolicy> m;
     m.set_profiled(true);
     ASSERT_TRUE(m.try_lock());
@@ -61,8 +57,6 @@ TEST(ProfiledMutex, CountsSuccessfulTryLocks)
 
 TEST(ProfiledMutex, WorksWithLockGuard)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
     ProfiledMutex<NativePolicy> m;
     m.set_profiled(true);
     {
@@ -75,8 +69,6 @@ TEST(ProfiledMutex, WorksWithLockGuard)
 
 TEST(ProfiledMutex, DetectsContentionAcrossThreads)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
     ProfiledMutex<NativePolicy> m;
     m.set_profiled(true);
     constexpr int kThreads = 4;
@@ -108,30 +100,6 @@ TEST(ProfiledMutex, DetectsContentionAcrossThreads)
     }
     m.unlock();
     EXPECT_EQ(spin.load(), kThreads * kIters);
-}
-
-/**
- * Same policy with instrumentation compiled out: the profiling flag
- * becomes inert and stats stay zero, which is what the overhead
- * benchmark's uninstrumented variant relies on.
- */
-struct NoObsPolicy : NativePolicy
-{
-    static constexpr bool kObsEnabled = false;
-};
-
-TEST(ProfiledMutex, CompiledOutPolicyRecordsNothing)
-{
-    ProfiledMutex<NoObsPolicy> m;
-    m.set_profiled(true);  // ignored: kObsEnabled is false
-    for (int i = 0; i < 10; ++i) {
-        m.lock();
-        m.unlock();
-    }
-    ASSERT_TRUE(m.try_lock());
-    EXPECT_EQ(m.stats_locked().acquires, 0u);
-    EXPECT_EQ(m.stats_locked().contended, 0u);
-    m.unlock();
 }
 
 TEST(LockStats, DefaultsToZero)

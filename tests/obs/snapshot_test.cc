@@ -208,8 +208,6 @@ TEST(LiveSnapshot, LockStatsPopulatedWhenObservabilityOn)
     config.heap_count = 1;
     config.observability = true;
     HoardAllocator<NativePolicy> allocator(config);
-    if (!kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
     ASSERT_TRUE(allocator.observability_enabled());
 
     void* p = allocator.allocate(128);
