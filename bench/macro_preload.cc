@@ -9,31 +9,38 @@
  * frees land on a foreign thread — a compressed version of the
  * server-style traffic the Hoard paper targets.
  *
- * It runs twice:
+ * Both sides run as fresh child processes of this binary, re-executed
+ * with the same workload:
  *
- *  - in-process, i.e. under whatever malloc this binary linked —
- *    glibc — giving the baseline;
- *  - re-executing itself under LD_PRELOAD=libhoard.so, so every
- *    malloc/free in the child (the workload's, libstdc++'s, glibc's
- *    own) goes through the shim, bootstrap arena and hardened free
- *    path included.  The child is signalled by the HOARD_MACRO_RESULT
- *    environment variable — not a CLI flag, since the strict bench CLI
- *    rejects unknown flags — and reports its throughput through that
- *    file.
+ *  - without LD_PRELOAD, under the malloc this binary linked — glibc —
+ *    giving the baseline;
+ *  - with LD_PRELOAD=libhoard.so, so every malloc/free in the child
+ *    (the workload's, libstdc++'s, glibc's own) goes through the shim,
+ *    bootstrap arena and hardened free path included.
  *
- * The preload throughput and the hoard/glibc ratio are gated; the
- * glibc number is context.  The ratio normalizes away the runner's
- * speed, which the absolute throughput cannot.  If the shim is not built (libhoard.so missing
- * next to the build tree), the preload half is skipped and only the
- * baseline is reported, so the bench degrades instead of failing in
- * partial builds.  A child that crashes or writes garbage fails the
- * bench: completing under preload IS the acceptance criterion.
+ * A child is signalled by the HOARD_MACRO_RESULT environment variable —
+ * not a CLI flag, since the strict bench CLI rejects unknown flags —
+ * and reports its throughput through that file.  The pair runs
+ * kRounds times, the order swapping every round, so both sides start
+ * equally cold and drift in the host's speed hits both alike.  The
+ * reported figures are medians: per-side ops/s, and the per-round
+ * hoard/glibc ratio.
+ *
+ * The preload throughput and the ratio are gated; the glibc number is
+ * context.  The ratio normalizes away the runner's speed, which the
+ * absolute throughput cannot.  If the shim is not built (libhoard.so
+ * missing next to the build tree), the preload half is skipped and
+ * only the baseline is reported, so the bench degrades instead of
+ * failing in partial builds.  A child that crashes or writes garbage
+ * fails the bench: completing under preload IS the acceptance
+ * criterion.
  *
  *   ./build/bench/macro_preload [--quick] [--json FILE]
  *
  * HOARD_SHIM_PATH overrides the libhoard.so location.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -147,6 +154,47 @@ child_main(const char* result_path)
     return os.good() ? 0 : 1;
 }
 
+/** Alternating glibc/hoard pairs behind every reported figure. */
+constexpr int kRounds = 7;
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/**
+ * Re-executes this binary as a churn child, under LD_PRELOAD=@p shim
+ * when it is non-empty, and returns the ops/sec it reports through
+ * @p result_path — or 0 when the child failed.
+ */
+double
+run_child(const char* argv0, const std::string& result_path, bool quick,
+          const std::string& shim)
+{
+    std::string cmd = "HOARD_MACRO_RESULT='" + result_path + "'";
+    if (quick)
+        cmd += " HOARD_MACRO_QUICK=1";
+    if (!shim.empty())
+        cmd += " LD_PRELOAD='" + shim + "'";
+    cmd += " '" + std::string(argv0) + "'";
+    const int rc = std::system(cmd.c_str());
+    double ops = 0.0;
+    if (rc == 0) {
+        std::ifstream is(result_path);
+        if (!(is >> ops) || ops <= 0)
+            ops = 0.0;
+    }
+    std::remove(result_path.c_str());
+    if (ops == 0.0) {
+        std::fprintf(stderr, "macro_preload: %s child failed (rc=%d)\n",
+                     shim.empty() ? "glibc" : "preload", rc);
+    }
+    return ops;
+}
+
 }  // namespace
 
 int
@@ -162,59 +210,66 @@ main(int argc, char** argv)
     report.set_title(
         "macro-preload: threaded KV churn under LD_PRELOAD=libhoard.so");
 
-    std::printf("# macro-preload: %d threads x %zu KV ops, "
-                "glibc in-process vs LD_PRELOAD=libhoard.so\n",
-                params.threads, params.ops_per_thread);
-
-    const double glibc_ops = run_churn(params);
-    std::printf("  glibc (in-process):     %12.0f ops/sec\n",
-                glibc_ops);
-    report.add_metric("glibc_ops_per_sec", glibc_ops, "1/s",
-                      hoard::metrics::Better::info);
+    std::printf("# macro-preload: %d threads x %zu KV ops, glibc vs "
+                "LD_PRELOAD=libhoard.so, %d alternating rounds of "
+                "child processes\n",
+                params.threads, params.ops_per_thread, kRounds);
 
     const std::string shim = shim_path(argc > 0 ? argv[0] : nullptr);
-    if (::access(shim.c_str(), R_OK) != 0) {
+    const bool have_shim = ::access(shim.c_str(), R_OK) == 0;
+    if (!have_shim) {
         std::printf("  libhoard.so not found at %s — preload half "
                     "skipped\n",
                     shim.c_str());
-        if (!cli.json_path.empty() &&
-            !report.write_file(cli.json_path))
-            return 1;
-        return 0;
     }
-
     const std::string result_path =
         (cli.json_path.empty() ? std::string("macro_preload")
                                : cli.json_path) +
         ".child.tmp";
-    std::string cmd = "HOARD_MACRO_RESULT='" + result_path + "'";
-    if (cli.quick)
-        cmd += " HOARD_MACRO_QUICK=1";
-    cmd += " LD_PRELOAD='" + shim + "' '" + argv[0] + "'";
 
-    const int rc = std::system(cmd.c_str());
-    double hoard_ops = 0.0;
-    bool child_ok = false;
-    if (rc == 0) {
-        std::ifstream is(result_path);
-        child_ok = static_cast<bool>(is >> hoard_ops) && hoard_ops > 0;
-    }
-    std::remove(result_path.c_str());
-    if (!child_ok) {
-        std::fprintf(stderr,
-                     "macro_preload: preload child failed (rc=%d)\n",
-                     rc);
-        return 1;
+    std::vector<double> glibc_ops;
+    std::vector<double> hoard_ops;
+    std::vector<double> ratios;
+    for (int round = 0; round < kRounds; ++round) {
+        double glibc = 0.0;
+        double hoard = 0.0;
+        // Swap the order every round so neither side always runs first.
+        for (int leg = 0; leg < 2; ++leg) {
+            if ((leg == 0) == (round % 2 == 0)) {
+                glibc = run_child(argv[0], result_path, cli.quick, "");
+                if (glibc == 0.0)
+                    return 1;
+            } else if (have_shim) {
+                hoard = run_child(argv[0], result_path, cli.quick, shim);
+                if (hoard == 0.0)
+                    return 1;
+            }
+        }
+        glibc_ops.push_back(glibc);
+        if (have_shim) {
+            hoard_ops.push_back(hoard);
+            ratios.push_back(hoard / glibc);
+        }
     }
 
-    std::printf("  hoard (LD_PRELOAD):     %12.0f ops/sec\n",
-                hoard_ops);
-    std::printf("  ratio (hoard/glibc):    %12.2fx\n",
-                hoard_ops / glibc_ops);
-    report.add_metric("hoard_preload_ops_per_sec", hoard_ops, "1/s",
-                      hoard::metrics::Better::higher);
-    report.add_metric("preload_ratio", hoard_ops / glibc_ops, "x",
-                      hoard::metrics::Better::higher);
+    const double glibc = median(glibc_ops);
+    std::printf("  glibc:                  %12.0f ops/sec (median)\n",
+                glibc);
+    report.add_metric("glibc_ops_per_sec", glibc, "1/s",
+                      hoard::metrics::Better::info);
+    if (have_shim) {
+        const double hoard = median(hoard_ops);
+        const double ratio = median(ratios);
+        std::printf("  hoard (LD_PRELOAD):     %12.0f ops/sec (median)\n",
+                    hoard);
+        std::printf("  ratio (hoard/glibc):    %12.2fx (median of "
+                    "per-round ratios)\n",
+                    ratio);
+        report.add_metric("hoard_preload_ops_per_sec", hoard, "1/s",
+                          hoard::metrics::Better::higher);
+        report.add_metric("preload_ratio", ratio, "x",
+                          hoard::metrics::Better::higher);
+    }
 
     if (!cli.json_path.empty() && !report.write_file(cli.json_path))
         return 1;

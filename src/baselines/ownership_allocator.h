@@ -46,7 +46,14 @@ template <typename Policy>
 class OwnershipAllocator final : public Allocator
 {
   public:
-    using Arena = HoardHeap<Policy>;
+    /** A heap over every class plus the arena's own empty
+        superblocks, which it reuses for any class and never gives
+        back. */
+    struct Arena : Heap<Policy>
+    {
+        using Heap<Policy>::Heap;
+        SuperblockList empty_list;  ///< guarded by the arena's mutex
+    };
 
     explicit OwnershipAllocator(
         const Config& config = Config(),
@@ -61,7 +68,7 @@ class OwnershipAllocator final : public Allocator
         arenas_.reserve(static_cast<std::size_t>(narenas_));
         for (int i = 0; i < narenas_; ++i)
             arenas_.push_back(
-                std::make_unique<Arena>(i, classes_.count()));
+                std::make_unique<Arena>(i, 0, classes_.count()));
     }
 
     ~OwnershipAllocator() override

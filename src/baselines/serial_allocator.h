@@ -43,7 +43,7 @@ class SerialAllocator final : public Allocator
           provider_(provider),
           classes_(config_,
                    Superblock::payload_bytes_for(config_.superblock_bytes)),
-          heap_(0, classes_.count())
+          heap_(0, 0, classes_.count())
     {}
 
     ~SerialAllocator() override { release_everything(); }
@@ -60,7 +60,7 @@ class SerialAllocator final : public Allocator
             return allocate_huge(size);
 
         const std::size_t block_bytes = classes_.block_size(cls);
-        std::lock_guard<typename HoardHeap<Policy>::Mutex> guard(heap_.mutex);
+        std::lock_guard<typename Heap<Policy>::Mutex> guard(heap_.mutex);
 
         int probes = 0;
         Superblock* sb = heap_.find_allocatable(cls, &probes);
@@ -68,7 +68,7 @@ class SerialAllocator final : public Allocator
             Policy::work(CostKind::list_op);
 
         if (sb == nullptr) {
-            if ((sb = heap_.empty_list.pop_front()) != nullptr) {
+            if ((sb = empty_list_.pop_front()) != nullptr) {
                 if (sb->size_class() != cls) {
                     Policy::work(CostKind::superblock_init);
                     sb->reformat(cls,
@@ -110,7 +110,7 @@ class SerialAllocator final : public Allocator
             return;
         }
 
-        std::lock_guard<typename HoardHeap<Policy>::Mutex> guard(heap_.mutex);
+        std::lock_guard<typename Heap<Policy>::Mutex> guard(heap_.mutex);
         int old_group = sb->fullness_group();
         Policy::touch(p, sizeof(void*), true);
         Policy::touch(sb, sizeof(Superblock), true);
@@ -123,7 +123,7 @@ class SerialAllocator final : public Allocator
 
         if (sb->empty()) {
             heap_.unlink(sb, sb->fullness_group());
-            heap_.empty_list.push_front(sb);
+            empty_list_.push_front(sb);
         }
     }
 
@@ -209,7 +209,7 @@ class SerialAllocator final : public Allocator
                 }
             }
         }
-        while (Superblock* sb = heap_.empty_list.pop_front()) {
+        while (Superblock* sb = empty_list_.pop_front()) {
             std::size_t bytes = sb->span_bytes();
             sb->~Superblock();
             provider_.unmap(sb, bytes);
@@ -219,7 +219,10 @@ class SerialAllocator final : public Allocator
     const Config config_;
     os::PageProvider& provider_;
     SizeClasses classes_;
-    HoardHeap<Policy> heap_;
+    Heap<Policy> heap_;
+    /// Completely-empty superblocks, reused by any class (guarded by
+    /// heap_.mutex).
+    SuperblockList empty_list_;
     detail::AllocatorStats stats_;
 };
 

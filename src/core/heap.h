@@ -1,14 +1,18 @@
 /**
  * @file
- * Hoard heap structures (paper §3): the lock + u_i/a_i counter base
- * shared by every superblock home, the full per-processor heap with
- * per-size-class fullness-group lists, and the per-class global bin —
- * one shard of the sharded global heap (heap 0).
+ * The Hoard heap (paper §3): one type for every superblock home.  A
+ * heap holds a lock, the u_i / a_i byte counters, a per-operation
+ * stats shard, a remote-free stack, and fullness-group lists for a
+ * range of size classes.
+ *
+ *  - Per-processor heap i is Heap(i, 0, classes): every class.
+ *  - The global heap (heap 0) is sharded by size class: its shard for
+ *    class c is Heap(0, c, 1), a heap over that one class under its
+ *    own lock.
  *
  * The free path discovers a block's home through Superblock::owner(),
- * which stores a HeapBase pointer: index 0 means the owner is a
- * GlobalBin (one size class, its own lock), index >= 1 a per-processor
- * HoardHeap.  All fields are guarded by `mutex` except where noted.
+ * which stores a Heap pointer; `index` 0 marks a global-heap shard.
+ * All fields are guarded by `mutex` except where noted.
  */
 
 #ifndef HOARD_CORE_HEAP_H_
@@ -32,43 +36,46 @@ struct SizeClassBin
     SuperblockList groups[Superblock::kGroupCount];
 };
 
-/**
- * State every superblock home shares: the lock, the u_i / a_i byte
- * counters, the per-operation stats shard, and the remote-free stack.
- * Superblock::owner() points at this base; the free path dispatches on
- * `index` (0 = global bin).
- */
+/** One superblock home; the template parameter supplies the mutex. */
 template <typename Policy>
-struct HeapBase
+struct Heap
 {
     /**
      * The policy mutex behind an optional contention profiler.  The
      * wrapper is a plain forwarder until ProfiledMutex::set_profiled
-     * flips it on (and compiles down to the raw mutex entirely when
-     * observability is off at build time).
+     * flips it on.
      */
     using Mutex = obs::ProfiledMutex<Policy>;
 
-    explicit HeapBase(int index_) : index(index_) {}
+    /** Heap @p index_ over the classes [first_class_, first_class_ +
+        num_classes). */
+    Heap(int index_, int first_class_, int num_classes)
+        : index(index_),
+          first_class(first_class_),
+          bins(static_cast<std::size_t>(num_classes))
+    {}
 
-    HeapBase(const HeapBase&) = delete;
-    HeapBase& operator=(const HeapBase&) = delete;
+    Heap(const Heap&) = delete;
+    Heap& operator=(const Heap&) = delete;
 
-    /** Heap number; 0 marks a global-heap shard (GlobalBin). */
+    /** Heap number; 0 marks a shard of the global heap. */
     const int index;
+
+    /** Size class of bins[0]. */
+    const int first_class;
 
     Mutex mutex;
 
     /** u_i: block bytes currently handed to the program from here. */
     std::size_t in_use = 0;
 
-    /** a_i: bytes held in this home's superblocks (span bytes). */
+    /** a_i: bytes held in this heap's superblocks (span bytes). */
     std::size_t held = 0;
 
     /**
      * Per-operation statistics of the locked path: allocations served
-     * from this heap and frees accepted into this home, written under
-     * `mutex` and folded lock-free by the allocator's stats readers.
+     * from this heap and frees accepted into it, written under `mutex`
+     * and folded lock-free by the allocator's stats readers.
      */
     detail::OpShard ops;
 
@@ -84,6 +91,17 @@ struct HeapBase
      * next-pointer write to the draining owner.
      */
     std::atomic<void*> remote_head{nullptr};
+
+    /**
+     * Superblocks linked here: written under `mutex` (link/unlink),
+     * read without it by fetchers deciding whether a global shard is
+     * worth locking.  A stale zero costs one extra miss of the class;
+     * a stale nonzero costs one wasted lock — never correctness.
+     */
+    std::atomic<std::uint32_t> occupancy{0};
+
+    /** Superblock lists per size class, segregated by fullness. */
+    std::vector<SizeClassBin> bins;
 
     /** Cheap empty test so the drain's exchange is skipped when idle. */
     bool
@@ -113,23 +131,15 @@ struct HeapBase
     {
         return remote_head.exchange(nullptr, std::memory_order_acquire);
     }
-};
 
-/** One per-processor heap; template parameter supplies the mutex type. */
-template <typename Policy>
-struct HoardHeap : HeapBase<Policy>
-{
-    HoardHeap(int index_, int num_classes)
-        : HeapBase<Policy>(index_),
-          bins(static_cast<std::size_t>(num_classes))
-    {}
-
-    /** Superblock lists per size class, segregated by fullness. */
-    std::vector<SizeClassBin> bins;
-
-    /** Completely-empty superblocks (baseline allocators only; the
-        Hoard allocator retires empties to its lock-free reuse cache). */
-    SuperblockList empty_list;
+    /** The lists of @p cls, which must lie in this heap's range. */
+    SizeClassBin&
+    bin(int cls)
+    {
+        HOARD_DCHECK(cls >= first_class &&
+                     cls - first_class < static_cast<int>(bins.size()));
+        return bins[static_cast<std::size_t>(cls - first_class)];
+    }
 
     /**
      * Finds a superblock of @p cls with a free block, preferring the
@@ -140,11 +150,11 @@ struct HoardHeap : HeapBase<Policy>
     Superblock*
     find_allocatable(int cls, int* probes)
     {
-        SizeClassBin& bin = bins[static_cast<std::size_t>(cls)];
+        SizeClassBin& b = bin(cls);
         *probes = 0;
         for (int g = Superblock::kFullnessBands - 1; g >= 0; --g) {
             ++*probes;
-            if (Superblock* sb = bin.groups[g].front())
+            if (Superblock* sb = b.groups[g].front())
                 return sb;
         }
         return nullptr;
@@ -164,9 +174,9 @@ struct HoardHeap : HeapBase<Policy>
         for (int g = 0; g < Superblock::kFullnessBands; ++g) {
             if (g * band_width > 1.0 - f)
                 break;
-            for (auto& bin : bins) {
-                for (Superblock* sb = bin.groups[g].front(); sb != nullptr;
-                     sb = bin.groups[g].next(sb)) {
+            for (auto& b : bins) {
+                for (Superblock* sb = b.groups[g].front(); sb != nullptr;
+                     sb = b.groups[g].next(sb)) {
                     if (sb->at_least_fraction_empty(f))
                         return sb;
                 }
@@ -180,18 +190,18 @@ struct HoardHeap : HeapBase<Policy>
     link(Superblock* sb)
     {
         HOARD_DCHECK(!SuperblockList::is_linked(sb));
-        bins[static_cast<std::size_t>(sb->size_class())]
-            .groups[sb->fullness_group()]
-            .push_front(sb);
+        bin(sb->size_class()).groups[sb->fullness_group()].push_front(sb);
+        occupancy.store(occupancy.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
     }
 
     /** Unlinks @p sb from its current group. Caller holds lock. */
     void
     unlink(Superblock* sb, int group)
     {
-        bins[static_cast<std::size_t>(sb->size_class())]
-            .groups[group]
-            .remove(sb);
+        bin(sb->size_class()).groups[group].remove(sb);
+        occupancy.store(occupancy.load(std::memory_order_relaxed) - 1,
+                        std::memory_order_relaxed);
     }
 
     /** Moves @p sb between groups after its fullness changed. */
@@ -201,84 +211,9 @@ struct HoardHeap : HeapBase<Policy>
         int now = sb->fullness_group();
         if (now == old_group)
             return;
-        unlink(sb, old_group);
-        bins[static_cast<std::size_t>(sb->size_class())]
-            .groups[now]
-            .push_front(sb);
-    }
-};
-
-/**
- * One shard of the global heap: the partial superblocks of a single
- * size class, under their own lock.  fetch_from_global and
- * maybe_release_superblock for different classes therefore never
- * contend.  No bin holds an empty superblock: one that empties inside
- * its bin leaves for the lock-free reuse cache, like every empty
- * arriving from a per-processor heap, and the cache's per-class stacks
- * hand it back still formatted to the next same-class fetch.
- */
-template <typename Policy>
-struct GlobalBin : HeapBase<Policy>
-{
-    explicit GlobalBin(int cls) : HeapBase<Policy>(0), size_class(cls) {}
-
-    const int size_class;
-
-    /** Fullness-group lists (band 0 emptiest partials, kFullGroup
-        full). */
-    SuperblockList groups[Superblock::kGroupCount];
-
-    /**
-     * Approximate superblock count: written under `mutex`
-     * (link/unlink), read without it by fetchers deciding whether the
-     * bin is worth locking.  A stale zero costs one extra miss of the
-     * class; a stale nonzero costs one wasted lock — never correctness.
-     */
-    std::atomic<std::uint32_t> occupancy{0};
-
-    /**
-     * Fullest allocatable superblock in the bin (paper §3.1 density
-     * rule).  Caller holds the lock; charges one list_op per probe.
-     */
-    Superblock*
-    find_allocatable(int* probes)
-    {
-        *probes = 0;
-        for (int g = Superblock::kFullnessBands - 1; g >= 0; --g) {
-            ++*probes;
-            if (Superblock* sb = groups[g].front())
-                return sb;
-        }
-        return nullptr;
-    }
-
-    /** Links @p sb into the right fullness group. Caller holds lock. */
-    void
-    link(Superblock* sb)
-    {
-        HOARD_DCHECK(!SuperblockList::is_linked(sb));
-        HOARD_DCHECK(sb->size_class() == size_class);
-        groups[sb->fullness_group()].push_front(sb);
-        occupancy.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** Unlinks @p sb from its current group. Caller holds lock. */
-    void
-    unlink(Superblock* sb, int group)
-    {
-        groups[group].remove(sb);
-        occupancy.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    /** Moves @p sb between groups after its fullness changed. */
-    void
-    relink(Superblock* sb, int old_group)
-    {
-        int now = sb->fullness_group();
-        if (now == old_group)
-            return;
-        groups[old_group].remove(sb);
-        groups[now].push_front(sb);
+        SizeClassBin& b = bin(sb->size_class());
+        b.groups[old_group].remove(sb);
+        b.groups[now].push_front(sb);
     }
 };
 

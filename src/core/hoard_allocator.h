@@ -15,16 +15,16 @@
  * expected synchronization per operation constant.
  *
  * The global heap itself is *sharded* (the scalloc direction — global
- * structures must scale too, PAPERS.md): one GlobalBin per size class,
- * each with its own lock and an approximate occupancy counter so
+ * structures must scale too, PAPERS.md): one Heap per size class, over
+ * that class only, each with its own lock and an occupancy count so
  * fetchers skip empty classes without locking; a lock-free Treiber
  * cache (superblock_cache.h), keyed by size class, is the one home of
- * every completely-empty superblock, so bins hold partials only;
+ * every completely-empty superblock, so shards hold partials only;
  * transfers and fetches move superblocks in batches (kGlobalFetchBatch)
  * so one lock round trip lands or pulls several; and the huge-object
  * list is striped across kHugeStripes locks.  Together heap 0 is a
- * logical construct — u_0 / a_0 are sums over the bins plus the cache
- * — and no single mutex serializes the slow path.
+ * logical construct — u_0 / a_0 are sums over the shards plus the
+ * cache — and no single mutex serializes the slow path.
  *
  * The class is templated on an execution policy (NativePolicy /
  * SimPolicy) so the identical algorithm runs under real threads and on
@@ -43,8 +43,8 @@
  * with one exchange the next time it holds its lock.
  *
  * Statistics discipline: the per-operation counts (allocs, frees,
- * requested and in-use bytes) live in shards — one per heap and
- * global bin, written under its lock, and one per magazine node,
+ * requested and in-use bytes) live in shards — one per heap (global
+ * shards included), written under its lock, and one per magazine node,
  * written by its thread — so no small-object path writes a cache line
  * every thread shares.  Readers fold the shards on demand
  * (fold_stats).  Rare events (huge objects, remote pushes, superblock
@@ -111,21 +111,19 @@ template <typename Policy>
 class HoardAllocator final : public Allocator
 {
   public:
-    using Heap = HoardHeap<Policy>;
-    using Base = HeapBase<Policy>;
-    using Bin = GlobalBin<Policy>;
+    using Heap = hoard::Heap<Policy>;
 
     /** Lock stripes for the huge-object list. Power of two. */
     static constexpr std::size_t kHugeStripes = 8;
 
     /**
      * Superblocks a cold per-processor heap may pull from its size
-     * class's global bin in one fetch.  A heap that misses locally is
-     * usually about to miss again, so batching amortizes the bin lock
-     * over several superblocks; the emptiness-invariant allowance
-     * widens to match (check_heap, HeapSnapshot::emptiness_ok).  Only
-     * a non-empty bin is batched from, and bins hold partials only,
-     * which the default release_threshold = 1 never transfers.
+     * class's global shard in one fetch.  A heap that misses locally
+     * is usually about to miss again, so batching amortizes the shard
+     * lock over several superblocks; the emptiness-invariant allowance
+     * widens to match (HeapSnapshot::emptiness_ok).  Only a non-empty
+     * shard is batched from, and shards hold partials only, which the
+     * default release_threshold = 1 never transfers.
      */
     static constexpr std::size_t kGlobalFetchBatch = 4;
 
@@ -139,14 +137,12 @@ class HoardAllocator final : public Allocator
           reuse_cache_(config_.superblock_bytes,
                        static_cast<std::size_t>(classes_.count()))
     {
-        // heaps_[i] is per-processor heap i+1; the global heap (0) is
-        // the bins + reuse cache, not a Heap object.
-        heaps_.reserve(static_cast<std::size_t>(config_.heap_count));
+        homes_.reserve(
+            static_cast<std::size_t>(config_.heap_count + classes_.count()));
         for (int i = 1; i <= config_.heap_count; ++i)
-            heaps_.push_back(std::make_unique<Heap>(i, classes_.count()));
-        global_bins_.reserve(static_cast<std::size_t>(classes_.count()));
+            homes_.push_back(std::make_unique<Heap>(i, 0, classes_.count()));
         for (int cls = 0; cls < classes_.count(); ++cls)
-            global_bins_.push_back(std::make_unique<Bin>(cls));
+            homes_.push_back(std::make_unique<Heap>(0, cls, 1));
         if (config_.thread_cache_blocks > 0 &&
             Policy::set_thread_exit_hook(&detail::magazine_thread_exit)) {
             const std::uint32_t batch =
@@ -163,13 +159,12 @@ class HoardAllocator final : public Allocator
         if (config_.observability) {
             recorder_ = std::make_unique<obs::EventRecorder>(
                 config_.obs_ring_events);
-            for (auto& heap : heaps_)
-                heap->mutex.set_profiled(true);
-            for (auto& bin : global_bins_)
-                bin->mutex.set_profiled(true);
+            for (auto& home : homes_)
+                home->mutex.set_profiled(true);
             if (config_.obs_sample_interval > 0) {
                 sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-                    config_.obs_sample_slots, heaps_.size() + 1,
+                    config_.obs_sample_slots,
+                    static_cast<std::size_t>(config_.heap_count) + 1,
                     config_.obs_sample_interval);
             }
         }
@@ -280,7 +275,7 @@ class HoardAllocator final : public Allocator
         else
             free_block(sb, p);
         // Tail position: no locks held here, so a due sample or purge
-        // pass may take heap/bin locks without self-deadlock risk.
+        // pass may take heap locks without self-deadlock risk.
         maybe_sample();
         maybe_purge();
     }
@@ -374,9 +369,11 @@ class HoardAllocator final : public Allocator
             flush_node_locked(node);
         }
         drain_all_remote();
+        // Only per-processor heaps can hold empties: a global shard
+        // retires one to the reuse cache the moment it empties.
         std::size_t released = 0;
-        for (auto& heap_ptr : heaps_) {
-            Heap& heap = *heap_ptr;
+        for (int i = 1; i <= config_.heap_count; ++i) {
+            Heap& heap = heap_at(i);
             std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
             for (auto& bin : heap.bins) {
                 // Only band 0 can hold used == 0 superblocks.
@@ -385,7 +382,7 @@ class HoardAllocator final : public Allocator
                 while (sb != nullptr) {
                     Superblock* next = group.next(sb);
                     if (sb->empty()) {
-                        group.remove(sb);
+                        heap.unlink(sb, 0);
                         heap.held -= sb->span_bytes();
                         released += release_to_provider(sb);
                     }
@@ -498,46 +495,18 @@ class HoardAllocator final : public Allocator
         os << "  heap 0 (global): in-use " << heap_in_use(0) << " held "
            << heap_held(0) << " empty-cached " << reuse_cache_.size()
            << "\n";
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            std::size_t count = 0;
-            for (auto& group : bin.groups)
-                count += group.size();
-            if (count == 0)
-                continue;
-            os << "    bin " << bin.size_class << " ("
-               << classes_.block_size(bin.size_class) << " B): " << count
-               << " superblock(s), groups [";
-            for (int g = 0; g < Superblock::kGroupCount; ++g) {
-                if (g != 0)
-                    os << ' ';
-                os << bin.groups[g].size();
+        for (auto& home : homes_) {
+            if (home->index == 0) {
+                std::lock_guard<typename Heap::Mutex> guard(home->mutex);
+                dump_classes(os, *home);
             }
-            os << "]\n";
         }
-        for (auto& heap_ptr : heaps_) {
-            Heap& heap = *heap_ptr;
+        for (int i = 1; i <= config_.heap_count; ++i) {
+            Heap& heap = heap_at(i);
             std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
             os << "  heap " << heap.index << ": in-use " << heap.in_use
                << " held " << heap.held << "\n";
-            for (std::size_t cls = 0; cls < heap.bins.size(); ++cls) {
-                auto& bin = heap.bins[cls];
-                std::size_t count = 0;
-                for (auto& group : bin.groups)
-                    count += group.size();
-                if (count == 0)
-                    continue;
-                os << "    class " << cls << " ("
-                   << classes_.block_size(static_cast<int>(cls))
-                   << " B): " << count << " superblock(s), groups [";
-                for (int g = 0; g < Superblock::kGroupCount; ++g) {
-                    if (g != 0)
-                        os << ' ';
-                    os << bin.groups[g].size();
-                }
-                os << "]\n";
-            }
+            dump_classes(os, heap);
         }
         if (magazine_id_ != 0) {
             std::size_t cached_blocks = 0;
@@ -560,39 +529,33 @@ class HoardAllocator final : public Allocator
         os.flush();
     }
 
-    /** u_i of heap @p i (0 = global: summed over the per-class bins). */
+    /** u_i of heap @p i (0 = global: summed over its shards). */
     std::size_t
     heap_in_use(int i)
     {
-        if (i == 0) {
-            std::size_t sum = 0;
-            for (auto& bin : global_bins_) {
-                std::lock_guard<typename Bin::Mutex> guard(bin->mutex);
-                sum += bin->in_use;
+        std::size_t sum = 0;
+        for (auto& home : homes_) {
+            if (home->index == i) {
+                std::lock_guard<typename Heap::Mutex> guard(home->mutex);
+                sum += home->in_use;
             }
-            return sum;
         }
-        Heap& h = *heaps_[static_cast<std::size_t>(i - 1)];
-        std::lock_guard<typename Heap::Mutex> guard(h.mutex);
-        return h.in_use;
+        return sum;
     }
 
-    /** a_i of heap @p i (0 = global: bins plus the reuse cache). */
+    /** a_i of heap @p i (0 = global: its shards plus the reuse cache). */
     std::size_t
     heap_held(int i)
     {
-        if (i == 0) {
-            std::size_t sum =
-                reuse_cache_.size() * config_.superblock_bytes;
-            for (auto& bin : global_bins_) {
-                std::lock_guard<typename Bin::Mutex> guard(bin->mutex);
-                sum += bin->held;
+        std::size_t sum =
+            i == 0 ? reuse_cache_.size() * config_.superblock_bytes : 0;
+        for (auto& home : homes_) {
+            if (home->index == i) {
+                std::lock_guard<typename Heap::Mutex> guard(home->mutex);
+                sum += home->held;
             }
-            return sum;
         }
-        Heap& h = *heaps_[static_cast<std::size_t>(i - 1)];
-        std::lock_guard<typename Heap::Mutex> guard(h.mutex);
-        return h.held;
+        return sum;
     }
 
     /** Heap index the calling thread allocates from. */
@@ -615,10 +578,8 @@ class HoardAllocator final : public Allocator
         // gauge but not yet the owning heap's u_i, and the emptiness
         // invariant is only enforced when the owner visits its lock.
         drain_all_remote();
-        for (auto& heap : heaps_)
-            check_heap(*heap);
-        for (auto& bin : global_bins_)
-            check_bin(*bin);
+        for (auto& home : homes_)
+            check_heap(*home);
         return true;
     }
 
@@ -651,9 +612,9 @@ class HoardAllocator final : public Allocator
         snap.slack_superblocks = config_.slack_superblocks;
         snap.heap_count = config_.heap_count;
         snap.global_fetch_batch = kGlobalFetchBatch;
-        // heaps[0] is the synthesized global heap (the per-class bins
-        // plus the reuse cache); heaps[i], i >= 1, per-processor heap i.
-        snap.heaps.resize(heaps_.size() + 1);
+        // heaps[0] is the global heap (its per-class shards plus the
+        // reuse cache); heaps[i], i >= 1, per-processor heap i.
+        snap.heaps.resize(static_cast<std::size_t>(config_.heap_count) + 1);
         for (obs::HeapSnapshot& hs : snap.heaps) {
             hs.classes.resize(
                 static_cast<std::size_t>(classes_.count()));
@@ -726,9 +687,12 @@ class HoardAllocator final : public Allocator
             snap.latency = latency_->snapshot();
             snap.latency_armed = true;
         }
-        fill_global_snapshot(snap.heaps[0]);
-        for (std::size_t i = 0; i < heaps_.size(); ++i)
-            fill_heap_snapshot(*heaps_[i], snap.heaps[i + 1]);
+        for (auto& home : homes_)
+            add_to_snapshot(*home,
+                            snap.heaps[static_cast<std::size_t>(home->index)]);
+        snap.heaps[0].empty_cached = reuse_cache_.size();
+        snap.heaps[0].held +=
+            snap.heaps[0].empty_cached * config_.superblock_bytes;
         for (auto& stripe : huge_stripes_) {
             std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
             for (Superblock* sb = stripe.list.front(); sb != nullptr;
@@ -802,7 +766,7 @@ class HoardAllocator final : public Allocator
     /**
      * Acquires every lock this allocator owns, in a fixed total order
      * (cache mutex, then the purge mutex, then per-processor heaps by
-     * index, then global bins by class, then huge stripes by slot),
+     * index, then global shards by class, then huge stripes by slot),
      * so fork() snapshots no lock in a half-held state and no heap
      * structure mid-mutation.  The magazine registry's own lock is taken by
      * the caller (hoard_install_atfork) *before* this, since flushes
@@ -814,10 +778,8 @@ class HoardAllocator final : public Allocator
     {
         cache_mutex_.lock();
         purge_mutex_.lock();
-        for (auto& heap : heaps_)
-            heap->mutex.lock();
-        for (auto& bin : global_bins_)
-            bin->mutex.lock();
+        for (auto& home : homes_)
+            home->mutex.lock();
         for (auto& stripe : huge_stripes_)
             stripe.mutex.lock();
     }
@@ -1454,7 +1416,7 @@ class HoardAllocator final : public Allocator
     void
     return_chain(void* chain)
     {
-        Base* locked = nullptr;
+        Heap* locked = nullptr;
         while (chain != nullptr) {
             void* block = chain;
             Policy::touch(block, sizeof(void*), false);
@@ -1462,7 +1424,7 @@ class HoardAllocator final : public Allocator
             Superblock* sb = Superblock::from_pointer(
                 block, config_.superblock_bytes);
             for (;;) {
-                Base* owner = static_cast<Base*>(sb->owner());
+                Heap* owner = static_cast<Heap*>(sb->owner());
                 if (owner == locked) {
                     // Stable: transfers require the lock we hold.
                     free_into_locked(*locked, sb, block);
@@ -1478,7 +1440,7 @@ class HoardAllocator final : public Allocator
                     break;
                 }
                 owner->mutex.lock();
-                if (static_cast<Base*>(sb->owner()) == owner) {
+                if (static_cast<Heap*>(sb->owner()) == owner) {
                     locked = owner;
                     continue;
                 }
@@ -1493,7 +1455,7 @@ class HoardAllocator final : public Allocator
     /** Lock-free handoff of a (whole, free) block to busy @p owner's
         remote queue (Treiber push; the owner settles it later). */
     void
-    remote_free(Base& owner, Superblock* sb, void* block)
+    remote_free(Heap& owner, Superblock* sb, void* block)
     {
         Policy::touch(block, sizeof(void*), true);
         // Capture event fields before the push publishes the block:
@@ -1518,7 +1480,7 @@ class HoardAllocator final : public Allocator
      * cache — the owner read never sees null.
      */
     std::size_t
-    drain_remote_locked(Base& home)
+    drain_remote_locked(Heap& home)
     {
         if (!home.remote_pending())
             return 0;
@@ -1537,7 +1499,7 @@ class HoardAllocator final : public Allocator
             chain = *static_cast<void**>(block);
             Superblock* sb = Superblock::from_pointer(
                 block, config_.superblock_bytes);
-            Base* owner = static_cast<Base*>(sb->owner());
+            Heap* owner = static_cast<Heap*>(sb->owner());
             if (owner != &home) {
                 owner->remote_push(block);
                 continue;
@@ -1557,46 +1519,43 @@ class HoardAllocator final : public Allocator
     /**
      * Drains every remote queue, enforcing the emptiness invariant on
      * each per-processor heap it settles.  Per-processor heaps first,
-     * the global bins last: on a quiesced allocator the only re-routes
-     * a drain can generate point global-ward (the drain's own
-     * enforcement is the only thing moving ownership, heap to bin;
-     * bin-to-heap moves only happen in fetches, none of which are in
-     * flight), so this order leaves every queue empty.  Returns the
-     * total blocks settled.
+     * the global shards last (homes_ order): on a quiesced allocator
+     * the only re-routes a drain can generate point global-ward (the
+     * drain's own enforcement is the only thing moving ownership,
+     * heap to shard; shard-to-heap moves only happen in fetches, none
+     * of which are in flight), so this order leaves every queue
+     * empty.  Returns the total blocks settled.
      */
     std::uint64_t
     drain_all_remote()
     {
         std::uint64_t drained = 0;
-        for (auto& heap : heaps_)
-            drained += drain_home_remote(*heap);
-        for (auto& bin : global_bins_)
-            drained += drain_home_remote(*bin);
+        for (auto& home : homes_)
+            drained += drain_home_remote(*home);
         return drained;
     }
 
     /** One home's share of drain_all_remote(); takes the lock only
         when the cheap pending probe says there is work. */
     std::uint64_t
-    drain_home_remote(Base& home)
+    drain_home_remote(Heap& home)
     {
         if (!home.remote_pending())
             return 0;
-        std::lock_guard<typename Base::Mutex> guard(home.mutex);
+        std::lock_guard<typename Heap::Mutex> guard(home.mutex);
         std::size_t n = drain_remote_locked(home);
-        if (home.index != 0 && n != 0)
-            maybe_release_superblock(static_cast<Heap&>(home));
+        if (n != 0)
+            maybe_release_superblock(home);
         return n;
     }
 
-    /** Drains pending remote frees, enforces the emptiness invariant
-        (per-processor heaps only), and releases @p home's lock. */
+    /** Drains pending remote frees, enforces the emptiness invariant,
+        and releases @p home's lock. */
     void
-    settle_and_unlock(Base& home)
+    settle_and_unlock(Heap& home)
     {
         drain_remote_locked(home);
-        if (home.index != 0)
-            maybe_release_superblock(static_cast<Heap&>(home));
+        maybe_release_superblock(home);
         home.mutex.unlock();
     }
 
@@ -1791,68 +1750,37 @@ class HoardAllocator final : public Allocator
                             .percentile(99.0)));
         }
         writer.set_heap(0, heap_in_use(0), heap_held(0));
-        for (std::size_t i = 0; i < heaps_.size(); ++i) {
-            Heap& heap = *heaps_[i];
+        for (int i = 1; i <= config_.heap_count; ++i) {
+            Heap& heap = heap_at(i);
             std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
-            writer.set_heap(i + 1, heap.in_use, heap.held);
+            writer.set_heap(static_cast<std::size_t>(i), heap.in_use,
+                            heap.held);
         }
     }
 
     /**
-     * Fills one heap's snapshot in place; takes and releases the
-     * heap's lock.  @p hs arrives with every vector pre-sized by
-     * take_snapshot() — nothing here may allocate.  Allocating under
-     * the heap lock would self-deadlock whole-process deployments
-     * (global_new.h), and allocating at all between the gauge copy and
-     * this walk would break exact reconciliation.  LockStats is safe
-     * to copy under the lock: its histogram is a fixed std::array.
+     * Adds @p home into its heap's snapshot row @p hs; takes and
+     * releases the home's lock.  Heap 0's row sums its per-class
+     * shards, lock profiles included (histogram merge), so the heap-0
+     * contention row means "the global heap".  @p hs arrives with every
+     * vector pre-sized by take_snapshot() — nothing here may allocate.
+     * Allocating under the heap lock would self-deadlock whole-process
+     * deployments (global_new.h), and allocating at all between the
+     * gauge copy and this walk would break exact reconciliation.
+     * LockStats is safe to copy under the lock: its histogram is a
+     * fixed std::array.
      */
     void
-    fill_heap_snapshot(Heap& heap, obs::HeapSnapshot& hs)
+    add_to_snapshot(Heap& home, obs::HeapSnapshot& hs)
     {
-        std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
-        hs.index = heap.index;
-        hs.in_use = heap.in_use;
-        hs.held = heap.held;
-        hs.empty_cached = 0;  // per-proc heaps cache no empties
-        for (std::size_t cls = 0; cls < heap.bins.size(); ++cls) {
-            auto& bin = heap.bins[cls];
-            obs::ClassSnapshot& cs = hs.classes[cls];
-            for (int g = 0; g < Superblock::kGroupCount; ++g) {
-                for (Superblock* sb = bin.groups[g].front();
-                     sb != nullptr; sb = bin.groups[g].next(sb)) {
-                    ++cs.group_counts[static_cast<std::size_t>(g)];
-                    ++cs.superblocks;
-                    cs.used_blocks += sb->used();
-                    cs.capacity_blocks += sb->capacity();
-                    hs.uncarved +=
-                        sb->span_bytes() -
-                        static_cast<std::size_t>(sb->capacity()) *
-                            sb->block_bytes();
-                }
-            }
-        }
-        hs.lock = heap.mutex.stats_locked();
-    }
-
-    /**
-     * Synthesizes heap 0's snapshot from the per-class bins and the
-     * reuse cache, one bin lock at a time.  Lock profiles are summed
-     * across the bins (histogram merge) so the heap-0 contention row
-     * keeps meaning "the global heap" after the sharding.  Same
-     * no-allocation contract as fill_heap_snapshot().
-     */
-    void
-    fill_global_snapshot(obs::HeapSnapshot& hs)
-    {
-        hs.index = 0;
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            hs.in_use += bin.in_use;
-            hs.held += bin.held;
+        std::lock_guard<typename Heap::Mutex> guard(home.mutex);
+        hs.index = home.index;
+        hs.in_use += home.in_use;
+        hs.held += home.held;
+        for (std::size_t i = 0; i < home.bins.size(); ++i) {
+            auto& bin = home.bins[i];
             obs::ClassSnapshot& cs =
-                hs.classes[static_cast<std::size_t>(bin.size_class)];
+                hs.classes[static_cast<std::size_t>(home.first_class) + i];
             for (int g = 0; g < Superblock::kGroupCount; ++g) {
                 for (Superblock* sb = bin.groups[g].front();
                      sb != nullptr; sb = bin.groups[g].next(sb)) {
@@ -1866,19 +1794,55 @@ class HoardAllocator final : public Allocator
                             sb->block_bytes();
                 }
             }
-            obs::LockStats ls = bin.mutex.stats_locked();
-            hs.lock.acquires += ls.acquires;
-            hs.lock.contended += ls.contended;
-            hs.lock.wait.merge(ls.wait);
         }
-        hs.empty_cached = reuse_cache_.size();
-        hs.held += hs.empty_cached * config_.superblock_bytes;
+        obs::LockStats ls = home.mutex.stats_locked();
+        hs.lock.acquires += ls.acquires;
+        hs.lock.contended += ls.contended;
+        hs.lock.wait.merge(ls.wait);
+    }
+
+    /** One dump() row per non-empty size class of @p home.  Caller
+        holds its lock. */
+    void
+    dump_classes(std::ostream& os, Heap& home)
+    {
+        for (std::size_t i = 0; i < home.bins.size(); ++i) {
+            auto& bin = home.bins[i];
+            std::size_t count = 0;
+            for (auto& group : bin.groups)
+                count += group.size();
+            if (count == 0)
+                continue;
+            const int cls = home.first_class + static_cast<int>(i);
+            os << "    class " << cls << " (" << classes_.block_size(cls)
+               << " B): " << count << " superblock(s), groups [";
+            for (int g = 0; g < Superblock::kGroupCount; ++g) {
+                if (g != 0)
+                    os << ' ';
+                os << bin.groups[g].size();
+            }
+            os << "]\n";
+        }
+    }
+
+    /** Per-processor heap @p i (1 <= i <= P). */
+    Heap&
+    heap_at(int i)
+    {
+        return *homes_[static_cast<std::size_t>(i - 1)];
+    }
+
+    /** The global heap's shard for size class @p cls. */
+    Heap&
+    global_shard(int cls)
+    {
+        return *homes_[static_cast<std::size_t>(config_.heap_count + cls)];
     }
 
     Heap&
     my_heap()
     {
-        return *heaps_[static_cast<std::size_t>(my_heap_index() - 1)];
+        return heap_at(my_heap_index());
     }
 
     /**
@@ -2034,7 +1998,7 @@ class HoardAllocator final : public Allocator
         // by a concurrent fetch.
         const std::size_t block_bytes = sb->block_bytes();
         for (;;) {
-            Base* home = static_cast<Base*>(sb->owner());
+            Heap* home = static_cast<Heap*>(sb->owner());
             if (home->mutex.is_locked_hint()) {
                 remote_free(*home, sb, block);
                 shared_ops_.count_free_shared(block_bytes);
@@ -2046,7 +2010,7 @@ class HoardAllocator final : public Allocator
             // The hint can go stale before the acquire; then we block
             // briefly (the paper's behavior), which is still correct.
             home->mutex.lock();
-            if (static_cast<Base*>(sb->owner()) != home) {
+            if (static_cast<Heap*>(sb->owner()) != home) {
                 home->mutex.unlock();
                 continue;
             }
@@ -2202,8 +2166,9 @@ class HoardAllocator final : public Allocator
      * Recounts the process-wide gauges from the per-heap ground truth
      * (child_after_fork documents why only the gauges can tear).  The
      * child is single-threaded here, magazines are already flushed and
-     * remote queues settled, so the sums are exact: in_use is heap u_i
-     * plus bin u_i plus huge user bytes; held adds the reuse cache's
+     * remote queues settled, so the sums are exact: in_use is the u_i
+     * of every heap and global shard plus huge user bytes; held adds
+     * the reuse cache's
      * spans; committed is held minus whatever the purge pass has
      * decommitted (summed span-by-span over the reuse cache, the only
      * place purged superblocks live).  The in-use book itself stays
@@ -2220,13 +2185,9 @@ class HoardAllocator final : public Allocator
         std::uint64_t in_use = 0;
         std::uint64_t held = 0;
         std::uint64_t purged = 0;
-        for (auto& heap : heaps_) {
-            in_use += heap->in_use;
-            held += heap->held;
-        }
-        for (auto& bin : global_bins_) {
-            in_use += bin->in_use;
-            held += bin->held;
+        for (auto& home : homes_) {
+            in_use += home->in_use;
+            held += home->held;
         }
         // Walk the reuse cache (single-threaded child: the
         // drain/re-push pair cannot race anyone) so purged spans are
@@ -2271,18 +2232,16 @@ class HoardAllocator final : public Allocator
     /// @name Per-operation statistics shards (common/stats.h OpShard).
     /// @{
 
-    /** Sums every per-op stats shard: the shared one, each heap's and
-        global bin's, and each magazine shard.  Lock-free and
+    /** Sums every per-op stats shard: the shared one, each heap's
+        (global shards included), and each magazine shard.  Lock-free and
         cost-free (no policy charge), so it is safe from any context. */
     detail::OpTotals
     fold_ops() const
     {
         detail::OpTotals totals;
         totals.add(shared_ops_);
-        for (const auto& heap : heaps_)
-            totals.add(heap->ops);
-        for (const auto& bin : global_bins_)
-            totals.add(bin->ops);
+        for (const auto& home : homes_)
+            totals.add(home->ops);
         for (const detail::MagazineShard* s =
                  mag_shards_.load(std::memory_order_acquire);
              s != nullptr; s = s->next)
@@ -2327,57 +2286,31 @@ class HoardAllocator final : public Allocator
 
     /// @}
 
-    /** Lands one free block in its home, dispatching on the home kind
-        (index 0 = global bin).  Caller holds @p home's lock. */
-    void
-    free_into_locked(Base& home, Superblock* sb, void* block)
-    {
-        if (home.index == 0)
-            free_into_bin_locked(static_cast<Bin&>(home), sb, block);
-        else
-            free_into_heap_locked(static_cast<Heap&>(home), sb, block);
-    }
-
     /**
-     * Lands one (whole) free block in per-processor @p heap, which owns
-     * @p sb and whose lock the caller holds: superblock bookkeeping,
-     * u_i, and the fullness-group move.  Invariant enforcement is the
-     * caller's job (settle_and_unlock / drain paths), so chains can
-     * land many blocks per enforcement pass.
+     * Lands one (whole) free block in @p home, which owns @p sb and
+     * whose lock the caller holds: superblock bookkeeping, u_i, and the
+     * fullness-group move.  A superblock that empties in a global shard
+     * leaves it for the reuse cache, the path heap-born empties take,
+     * so shards hold partials only; the class-keyed cache still hands
+     * it back formatted to the next same-class fetch.  Invariant
+     * enforcement is the caller's job (settle_and_unlock / drain
+     * paths), so chains can land many blocks per enforcement pass.
      */
     void
-    free_into_heap_locked(Heap& heap, Superblock* sb, void* block)
+    free_into_locked(Heap& home, Superblock* sb, void* block)
     {
         int old_group = sb->fullness_group();
         Policy::touch(block, sizeof(void*), true);
         Policy::touch(sb, sizeof(Superblock), true);
         sb->deallocate_block(block);
-        heap.in_use -= sb->block_bytes();
-        heap.relink(sb, old_group);
-    }
-
-    /**
-     * Lands one (whole) free block in global bin @p bin, which owns
-     * @p sb and whose lock the caller holds.  A superblock that empties
-     * here leaves the bin for the reuse cache, the path heap-born
-     * empties take, so bins hold partials only; the class-keyed cache
-     * still hands it back formatted to the next same-class fetch.
-     */
-    void
-    free_into_bin_locked(Bin& bin, Superblock* sb, void* block)
-    {
-        int old_group = sb->fullness_group();
-        Policy::touch(block, sizeof(void*), true);
-        Policy::touch(sb, sizeof(Superblock), true);
-        sb->deallocate_block(block);
-        bin.in_use -= sb->block_bytes();
-        if (sb->empty()) {
-            bin.unlink(sb, old_group);
-            bin.held -= sb->span_bytes();
+        home.in_use -= sb->block_bytes();
+        if (home.index == 0 && sb->empty()) {
+            home.unlink(sb, old_group);
+            home.held -= sb->span_bytes();
             retire_empty(sb);
             return;
         }
-        bin.relink(sb, old_group);
+        home.relink(sb, old_group);
     }
 
     /**
@@ -2391,19 +2324,23 @@ class HoardAllocator final : public Allocator
      * amortized cost O(1) (every transferred superblock was paid for
      * by the frees that emptied it), and is what the invariant-based
      * blowup bound actually requires.  Caller holds the heap lock.
+     * The global heap (index 0) has no further heap to release to, so
+     * for its shards the threshold is never crossed.
      *
      * Batched: the loop collects every victim first (the owner's lock
      * is already held; no global lock is touched while deciding), then
      * lands them — empties go to the lock-free reuse cache, partials
-     * to their class bins with every same-class victim spliced in
-     * under one bin-lock acquisition.  Between unlink and landing a
-     * victim's owner still reads @p heap, whose lock we hold, so a
-     * concurrent free remote-queues and is re-routed at the next
+     * to their class's global shard with every same-class victim
+     * spliced in under one shard-lock acquisition.  Between unlink and
+     * landing a victim's owner still reads @p heap, whose lock we hold,
+     * so a concurrent free remote-queues and is re-routed at the next
      * drain — the same transient the single-victim transfer had.
      */
     void
     maybe_release_superblock(Heap& heap)
     {
+        if (heap.index == 0)
+            return;
         const std::size_t slack =
             config_.slack_superblocks * config_.superblock_bytes;
         const double keep_fraction = 1.0 - config_.empty_fraction;
@@ -2432,48 +2369,37 @@ class HoardAllocator final : public Allocator
                 retire_empty(sb);
                 continue;
             }
-            Bin& bin = *global_bins_[
-                static_cast<std::size_t>(sb->size_class())];
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            land_in_bin_locked(bin, sb);
+            Heap& shard = global_shard(sb->size_class());
+            std::lock_guard<typename Heap::Mutex> guard(shard.mutex);
+            adopt(shard, sb);
+            Policy::work(CostKind::list_op);
             // Splice every remaining victim of this class under the
             // same acquisition — the batched transfer.
             Superblock* next = victims.front();
             while (next != nullptr) {
                 Superblock* after = victims.next(next);
                 if (!next->empty() &&
-                    next->size_class() == bin.size_class) {
+                    next->size_class() == shard.first_class) {
                     victims.remove(next);
-                    land_in_bin_locked(bin, next);
+                    adopt(shard, next);
+                    Policy::work(CostKind::list_op);
                 }
                 next = after;
             }
         }
     }
 
-    /** Hands unlinked @p sb to @p bin. Caller holds the bin lock; the
-        owner store happens under it (escaped blocks may exist). */
-    void
-    land_in_bin_locked(Bin& bin, Superblock* sb)
-    {
-        sb->set_owner(static_cast<Base*>(&bin));
-        bin.held += sb->span_bytes();
-        bin.in_use += sb->used_bytes();
-        bin.link(sb);
-        Policy::work(CostKind::list_op);
-    }
-
     /**
      * Pulls superblocks of @p cls from the global heap for @p dest,
-     * whose lock the caller holds.  The class's bin is probed first —
-     * without its lock, via the approximate occupancy counter — and a
-     * hit pulls up to kGlobalFetchBatch partial superblocks
-     * (fullest-first) under one bin-lock acquisition: the cold heap is
-     * about to miss repeatedly, so batching amortizes the round trip.
+     * whose lock the caller holds.  The class's shard is probed first
+     * — without its lock, via the occupancy count — and a hit pulls up
+     * to kGlobalFetchBatch partial superblocks (fullest-first) under
+     * one shard-lock acquisition: the cold heap is about to miss
+     * repeatedly, so batching amortizes the round trip.
      * On a miss the lock-free reuse cache supplies a recycled empty
      * superblock, reformatted if its last class differs.  Each
      * handover happens under the lock of the side that still owns
-     * escaped blocks (bin for partials; an empty superblock has none),
+     * escaped blocks (shard for partials; an empty superblock has none),
      * so a concurrent free never sees a null or stale owner it could
      * act on.  Returns the fullest pulled superblock, or nullptr when
      * the global heap has nothing — the caller then maps fresh memory.
@@ -2481,22 +2407,22 @@ class HoardAllocator final : public Allocator
     Superblock*
     fetch_from_global(int cls, Heap& dest)
     {
-        Bin& bin = *global_bins_[static_cast<std::size_t>(cls)];
+        Heap& shard = global_shard(cls);
         Superblock* first = nullptr;
-        if (bin.occupancy.load(std::memory_order_relaxed) != 0) {
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            drain_remote_locked(bin);
+        if (shard.occupancy.load(std::memory_order_relaxed) != 0) {
+            std::lock_guard<typename Heap::Mutex> guard(shard.mutex);
+            drain_remote_locked(shard);
             for (std::size_t pulled = 0; pulled < kGlobalFetchBatch;
                  ++pulled) {
                 int probes = 0;
-                Superblock* sb = bin.find_allocatable(&probes);
+                Superblock* sb = shard.find_allocatable(cls, &probes);
                 for (int i = 0; i < probes; ++i)
                     Policy::work(CostKind::list_op);
                 if (sb == nullptr)
                     break;
-                bin.unlink(sb, sb->fullness_group());
-                bin.held -= sb->span_bytes();
-                bin.in_use -= sb->used_bytes();
+                shard.unlink(sb, sb->fullness_group());
+                shard.held -= sb->span_bytes();
+                shard.in_use -= sb->used_bytes();
                 stats_.global_fetches.add();
                 adopt(dest, sb);
                 record_event(obs::EventKind::fetch_from_global,
@@ -2550,11 +2476,13 @@ class HoardAllocator final : public Allocator
             arena_id_);
     }
 
-    /** Hands ownership of unowned @p sb to @p heap. Caller holds lock. */
+    /** Hands ownership of unlinked @p sb to @p heap.  Caller holds its
+        lock; the owner store happens under it (escaped blocks may
+        exist). */
     void
     adopt(Heap& heap, Superblock* sb)
     {
-        sb->set_owner(static_cast<Base*>(&heap));
+        sb->set_owner(&heap);
         heap.held += sb->span_bytes();
         heap.in_use += sb->used_bytes();
         heap.link(sb);
@@ -2641,17 +2569,15 @@ class HoardAllocator final : public Allocator
     {
         for (std::size_t i = kHugeStripes; i-- > 0;)
             huge_stripes_[i].mutex.unlock();
-        for (std::size_t i = global_bins_.size(); i-- > 0;)
-            global_bins_[i]->mutex.unlock();
-        for (std::size_t i = heaps_.size(); i-- > 0;)
-            heaps_[i]->mutex.unlock();
+        for (std::size_t i = homes_.size(); i-- > 0;)
+            homes_[i]->mutex.unlock();
         purge_mutex_.unlock();
         cache_mutex_.unlock();
     }
 
     /// Frees between purge-cadence checks.  Coarser than the sampler's
     /// period: a due check still costs a timestamp, and a due pass
-    /// takes bin locks and issues madvise.
+    /// issues madvise.
     static constexpr unsigned kPurgeCheckPeriod = 1024;
 
     /**
@@ -2802,18 +2728,12 @@ class HoardAllocator final : public Allocator
     void
     release_everything()
     {
-        for (auto& heap : heaps_) {
-            for (auto& bin : heap->bins) {
+        for (auto& home : homes_) {
+            for (auto& bin : home->bins) {
                 for (auto& group : bin.groups) {
                     while (Superblock* sb = group.pop_front())
                         unmap_superblock(sb);
                 }
-            }
-        }
-        for (auto& bin : global_bins_) {
-            for (auto& group : bin->groups) {
-                while (Superblock* sb = group.pop_front())
-                    unmap_superblock(sb);
             }
         }
         Superblock* chain = reuse_cache_.drain();
@@ -2838,101 +2758,59 @@ class HoardAllocator final : public Allocator
         provider_.unmap(sb, bytes);
     }
 
+    /**
+     * Counter/list consistency and the emptiness invariant for one
+     * home; takes its lock.  Every superblock sits in its own class's
+     * list for its fullness group, and u_i, a_i and the occupancy count
+     * match the lists exactly.  A global shard (index 0) holds no empty
+     * superblock (the reuse cache is their one home) and is exempt from
+     * the invariant; a per-processor heap must satisfy it in the form
+     * HeapSnapshot::emptiness_ok states, with the uncarved bytes, the
+     * active classes and kGlobalFetchBatch in its allowance.
+     */
     void
-    check_heap(Heap& heap)
+    check_heap(Heap& home)
     {
-        std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
-        std::size_t used_sum = 0;
-        std::size_t held_sum = 0;
-        std::size_t uncarved = 0;  // header + tail remainder per sb
-        std::size_t active_classes = 0;
-        for (std::size_t cls = 0; cls < heap.bins.size(); ++cls) {
-            auto& bin = heap.bins[cls];
-            bool any = false;
-            for (int g = 0; g < Superblock::kGroupCount; ++g)
-                any = any || !bin.groups[g].empty();
-            if (any)
-                ++active_classes;
-            for (int g = 0; g < Superblock::kGroupCount; ++g) {
-                for (Superblock* sb = bin.groups[g].front(); sb != nullptr;
-                     sb = bin.groups[g].next(sb)) {
-                    HOARD_CHECK(sb->size_class() ==
-                                static_cast<int>(cls));
-                    HOARD_CHECK(sb->fullness_group() == g);
-                    HOARD_CHECK(sb->owner() == &heap);
-                    HOARD_CHECK(sb->used() <= sb->capacity());
-                    used_sum += sb->used_bytes();
-                    held_sum += sb->span_bytes();
-                    uncarved += sb->span_bytes() -
-                                static_cast<std::size_t>(sb->capacity()) *
-                                    sb->block_bytes();
-                }
-            }
-        }
-        HOARD_CHECK(used_sum == heap.in_use);
-        HOARD_CHECK(held_sum == heap.held);
-
-        // Emptiness invariant, in the form the algorithm actually
-        // guarantees at an arbitrary instant:
-        //
-        //   u >= (1-t) * (a - allowance) - K*S
-        //
-        // with t the victim release threshold: the transfer loop
-        // stops either restored (u >= (1-f)a, stronger since
-        // t >= f) or because no superblock is t-empty, i.e. every
-        // superblock has used > (1-t)*capacity.  The allowance
-        // covers (a) bytes a superblock cannot carve into blocks
-        // (header + tail remainder); (b) up to kGlobalFetchBatch
-        // *fetched* superblocks per active size class — enforcement
-        // runs on free only (paper Figure 3), and an allocation may
-        // batch-pull that many partial superblocks per class from the
-        // global bins between frees; (c) one superblock of transient
-        // for the free currently in flight on another thread.
-        const double t = config_.release_threshold;
-        const std::size_t S = config_.superblock_bytes;
-        const std::size_t k_slack = config_.slack_superblocks * S + S;
-        const std::size_t allowance =
-            uncarved +
-            (active_classes * kGlobalFetchBatch + 1) * S;
-        bool ok =
-            heap.in_use + k_slack >= heap.held ||
-            static_cast<double>(heap.in_use) >=
-                (1.0 - t) *
-                        static_cast<double>(heap.held - std::min(
-                                                allowance,
-                                                heap.held)) -
-                    static_cast<double>(k_slack);
-        HOARD_CHECK(ok);
-    }
-
-    /** Counter/list consistency for one global bin; takes its lock.
-        Bins hold partial superblocks of their own class only (an empty
-        one belongs in the reuse cache), and the lock-free occupancy
-        hint is exact at quiescence. */
-    void
-    check_bin(Bin& bin)
-    {
-        std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
+        std::lock_guard<typename Heap::Mutex> guard(home.mutex);
+        obs::HeapSnapshot hs;
+        hs.index = home.index;
         std::size_t used_sum = 0;
         std::size_t held_sum = 0;
         std::uint32_t count = 0;
-        for (int g = 0; g < Superblock::kGroupCount; ++g) {
-            for (Superblock* sb = bin.groups[g].front(); sb != nullptr;
-                 sb = bin.groups[g].next(sb)) {
-                HOARD_CHECK(sb->size_class() == bin.size_class);
-                HOARD_CHECK(sb->fullness_group() == g);
-                HOARD_CHECK(sb->owner() == static_cast<Base*>(&bin));
-                HOARD_CHECK(sb->used() <= sb->capacity());
-                HOARD_CHECK(!sb->empty());
-                used_sum += sb->used_bytes();
-                held_sum += sb->span_bytes();
-                ++count;
+        for (std::size_t i = 0; i < home.bins.size(); ++i) {
+            auto& bin = home.bins[i];
+            const int cls = home.first_class + static_cast<int>(i);
+            bool any = false;
+            for (int g = 0; g < Superblock::kGroupCount; ++g) {
+                for (Superblock* sb = bin.groups[g].front(); sb != nullptr;
+                     sb = bin.groups[g].next(sb)) {
+                    HOARD_CHECK(sb->size_class() == cls);
+                    HOARD_CHECK(sb->fullness_group() == g);
+                    HOARD_CHECK(sb->owner() == &home);
+                    HOARD_CHECK(sb->used() <= sb->capacity());
+                    HOARD_CHECK(home.index != 0 || !sb->empty());
+                    used_sum += sb->used_bytes();
+                    held_sum += sb->span_bytes();
+                    hs.uncarved +=
+                        sb->span_bytes() -
+                        static_cast<std::size_t>(sb->capacity()) *
+                            sb->block_bytes();
+                    any = true;
+                    ++count;
+                }
             }
+            if (any)
+                ++hs.active_classes;
         }
-        HOARD_CHECK(used_sum == bin.in_use);
-        HOARD_CHECK(held_sum == bin.held);
-        HOARD_CHECK(count ==
-                    bin.occupancy.load(std::memory_order_relaxed));
+        HOARD_CHECK(used_sum == home.in_use);
+        HOARD_CHECK(held_sum == home.held);
+        HOARD_CHECK(count == home.occupancy.load(std::memory_order_relaxed));
+        hs.in_use = home.in_use;
+        hs.held = home.held;
+        HOARD_CHECK(hs.emptiness_ok(config_.superblock_bytes,
+                                    config_.release_threshold,
+                                    config_.slack_superblocks,
+                                    kGlobalFetchBatch));
     }
 
     /// One stripe of the huge-object list: huge registrations hash to
@@ -2975,11 +2853,11 @@ class HoardAllocator final : public Allocator
     std::atomic<std::uintptr_t> mapped_lo_{
         std::numeric_limits<std::uintptr_t>::max()};
     std::atomic<std::uintptr_t> mapped_hi_{0};
-    /// Per-processor heaps; heaps_[i] is heap i + 1.  Heap 0 — the
-    /// global heap — is the per-class bins plus the reuse cache below.
-    std::vector<std::unique_ptr<Heap>> heaps_;
-    /// The sharded global heap: one bin (own lock) per size class.
-    std::vector<std::unique_ptr<Bin>> global_bins_;
+    /// Every superblock home, in lock order: per-processor heap i at
+    /// [i - 1] (heap_at), then the global heap's one-class shard for
+    /// class c at [P + c] (global_shard).  Heap 0 — the global heap —
+    /// is those shards plus the reuse cache below.
+    std::vector<std::unique_ptr<Heap>> homes_;
     /// Lock-free cache of completely-empty superblocks, the only place
     /// the global heap keeps them: one Treiber stack per size class, so
     /// a same-class pop recycles a superblock already formatted for it;

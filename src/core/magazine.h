@@ -115,7 +115,7 @@ struct alignas(64) MagazineShard : OpShard
  * One thread's magazines for one allocator instance: a bounded LIFO of
  * whole free blocks per size class, threaded through block first words
  * (the same chain format Superblock::allocate_batch builds and
- * HoardHeap::remote_push consumes, so batches move by splice).
+ * Heap::remote_push consumes, so batches move by splice).
  *
  * Single-writer: only the owning logical thread touches `mags` and
  * `synced_bytes` on the fast path.  `occupancy_bytes` is the one field

@@ -66,17 +66,24 @@ struct HeapSnapshot
 
     /**
      * Emptiness-invariant check in the form the algorithm guarantees at
-     * an arbitrary instant (mirrors HoardAllocator::check_heap; the
-     * allowance terms are discussed there and in DESIGN.md):
+     * an arbitrary instant, and the verdict HoardAllocator's
+     * check_invariants() aborts on:
      *
      *   u + K*S + S >= a, or
      *   u >= (1-t) * (a - allowance) - (K*S + S)
      *
-     * with allowance = uncarved + (active_classes * F + 1) * S, where
-     * F is HoardAllocator::kGlobalFetchBatch: an allocation may
-     * batch-pull up to F partial superblocks per class from the global
-     * bins between frees (enforcement runs on free only).  Not
-     * meaningful for the global heap (index 0), which returns true.
+     * with t the victim release threshold: the transfer loop stops
+     * either restored (u >= (1-f)a, stronger since t >= f) or because
+     * no superblock is t-empty, i.e. every superblock has used >
+     * (1-t)*capacity.  allowance = uncarved + (active_classes * F + 1)
+     * * S covers (a) bytes a superblock cannot carve into blocks
+     * (header + tail remainder); (b) up to F =
+     * HoardAllocator::kGlobalFetchBatch partial superblocks per active
+     * class, which an allocation may batch-pull from the global heap
+     * between frees (enforcement runs on free only, paper Figure 3);
+     * (c) one superblock of transient for the free in flight on
+     * another thread.  Not meaningful for the global heap (index 0),
+     * which returns true.
      *
      * @param superblock_bytes   S
      * @param release_threshold  t (Config::release_threshold)
@@ -88,19 +95,10 @@ struct HeapSnapshot
                  std::size_t slack_superblocks,
                  std::size_t global_fetch_batch = 1) const
     {
-        if (index == 0)
-            return true;
-        const std::uint64_t S = superblock_bytes;
-        const std::uint64_t k_slack = slack_superblocks * S + S;
-        if (in_use + k_slack >= held)
-            return true;
-        const std::uint64_t allowance =
-            uncarved + (active_classes * global_fetch_batch + 1) * S;
-        const std::uint64_t reduced =
-            held > allowance ? held - allowance : 0;
-        return static_cast<double>(in_use) >=
-               (1.0 - release_threshold) * static_cast<double>(reduced) -
-                   static_cast<double>(k_slack);
+        return index == 0 ||
+               invariant_slack_bytes(superblock_bytes, release_threshold,
+                                     slack_superblocks,
+                                     global_fetch_batch) >= 0.0;
     }
 
     /**
@@ -124,7 +122,7 @@ struct HeapSnapshot
              1.0) * S;
         const double reduced = std::max(
             0.0, static_cast<double>(held) - allowance);
-        // emptiness_ok is an OR of two conditions, so the binding
+        // The invariant is an OR of two conditions, so the binding
         // threshold is whichever is easier to satisfy.
         const double bound = std::min(
             static_cast<double>(held) - k_slack,

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/facade.h"
 #include "core/hoard_allocator.h"
 #include "obs/snapshot.h"
 #include "policy/native_policy.h"
@@ -255,11 +256,19 @@ TEST(ReuseCache, CrossClassStealRecyclesFormattedSpans)
     EXPECT_TRUE(allocator.check_invariants());
 }
 
-TEST(GlobalHeapStress, NativeChurnReconcilesWithBinsPopulated)
+/**
+ * Native churn that populates the global bins, then cross-thread frees
+ * of every survivor; quiescent snapshots must reconcile byte-exactly
+ * with every remote free drained.  Under @p config's magazines the
+ * frees park in the freeing thread's cache and spill through
+ * return_chain, so bin-owned superblocks take batched returns too.
+ */
+void
+native_churn_reconciles_with_bins_populated(const Config& config)
 {
     constexpr int kThreads = 4;
     constexpr int kBlocks = 600;
-    NativeHoard allocator(bin_config(kThreads));
+    NativeHoard allocator(config);
 
     // Phase 1: every thread allocates its own size mix, then frees
     // every other block — partial superblocks stream into the bins
@@ -298,12 +307,34 @@ TEST(GlobalHeapStress, NativeChurnReconcilesWithBinsPopulated)
     // remote_frees may legitimately be zero on a single-core host
     // (frees only queue when the owner lock is observed busy); the
     // invariant is that whatever queued was drained.
+    allocator.flush_thread_caches();
+    if (config.thread_cache_blocks > 0)
+        EXPECT_GT(allocator.stats().batch_flushes.get(), 0u);
     snap = allocator.take_snapshot();
     EXPECT_EQ(snap.stats.in_use_bytes, 0u);
+    EXPECT_EQ(snap.cached_bytes, 0u);
     EXPECT_TRUE(snap.reconciles());
     EXPECT_TRUE(snap.all_heaps_satisfy_invariant());
     EXPECT_EQ(snap.stats.remote_frees, snap.stats.remote_drains);
     EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(GlobalHeapStress, NativeChurnReconcilesWithBinsPopulated)
+{
+    native_churn_reconciles_with_bins_populated(bin_config(4));
+}
+
+/** The same churn under the configuration libhoard.so ships
+    (magazines on), in paper-literal victim mode. */
+TEST(GlobalHeapStress, ShippedNativeChurnReconcilesWithBinsPopulated)
+{
+    Config config = shipped_config();
+    config.heap_count = 4;
+    config.empty_fraction = 0.25;
+    config.release_threshold = 0.25;
+    config.slack_superblocks = 0;
+    ASSERT_GT(config.thread_cache_blocks, 0u);
+    native_churn_reconciles_with_bins_populated(config);
 }
 
 TEST(GlobalHeapStress, SimChurnReconcilesWithBinsPopulated)

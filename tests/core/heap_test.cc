@@ -1,4 +1,4 @@
-/** @file Unit tests for HoardHeap's fullness-group bookkeeping. */
+/** @file Unit tests for Heap's fullness-group bookkeeping. */
 
 #include "core/heap.h"
 
@@ -42,7 +42,7 @@ class HeapTest : public ::testing::Test
     SizeClasses classes_;
     os::MmapPageProvider provider_;
     std::vector<void*> mapped_;
-    HoardHeap<NativePolicy> heap_{1, 40};
+    Heap<NativePolicy> heap_{1, 0, 40};
 };
 
 TEST_F(HeapTest, LinkPlacesInCorrectGroup)
@@ -153,6 +153,69 @@ TEST_F(HeapTest, UnlinkRemovesFromGroup)
     heap_.unlink(sb, sb->fullness_group());
     int probes = 0;
     EXPECT_EQ(heap_.find_allocatable(0, &probes), nullptr);
+}
+
+/**
+ * A global-heap shard: heap 0 over the single class k.  Its one list
+ * set is bins[0], reached through class k (not class 0), and every
+ * link and unlink keeps the occupancy count exact; relink moves a
+ * superblock between groups without changing it.
+ */
+TEST_F(HeapTest, OneClassShardReachesItsListsAndCountsOccupancy)
+{
+    constexpr int kClass = 5;
+    Heap<NativePolicy> shard(0, kClass, 1);
+    ASSERT_EQ(shard.bins.size(), 1u);
+    EXPECT_EQ(shard.occupancy.load(), 0u);
+
+    Superblock* partial = make_superblock(kClass);
+    for (std::uint32_t i = 0; i < partial->capacity() / 2; ++i)
+        partial->allocate();
+    Superblock* nearly_full = make_superblock(kClass);
+    while (!nearly_full->full())
+        nearly_full->allocate();
+    nearly_full->deallocate(nearly_full->payload_begin());
+
+    shard.link(partial);
+    EXPECT_EQ(shard.occupancy.load(), 1u);
+    EXPECT_EQ(shard.bins[0].groups[partial->fullness_group()].front(),
+              partial);
+    shard.link(nearly_full);
+    EXPECT_EQ(shard.occupancy.load(), 2u);
+
+    // Fullest first, found through the shard's own class.
+    int probes = 0;
+    EXPECT_EQ(shard.find_allocatable(kClass, &probes), nearly_full);
+
+    // Filling the nearly-full one moves it to the full group: relink
+    // follows, the count does not move, and the partial is next.
+    int old_group = nearly_full->fullness_group();
+    nearly_full->allocate();
+    shard.relink(nearly_full, old_group);
+    EXPECT_EQ(shard.bins[0].groups[Superblock::kFullGroup].front(),
+              nearly_full);
+    EXPECT_EQ(shard.occupancy.load(), 2u);
+    EXPECT_EQ(shard.find_allocatable(kClass, &probes), partial);
+
+    shard.unlink(partial, partial->fullness_group());
+    EXPECT_EQ(shard.occupancy.load(), 1u);
+    EXPECT_EQ(shard.find_allocatable(kClass, &probes), nullptr);
+    shard.unlink(nearly_full, nearly_full->fullness_group());
+    EXPECT_EQ(shard.occupancy.load(), 0u);
+    for (const SuperblockList& group : shard.bins[0].groups)
+        EXPECT_TRUE(group.empty());
+}
+
+/** A per-processor heap keeps the same exact count across classes. */
+TEST_F(HeapTest, OccupancyCountsEveryClass)
+{
+    Superblock* a = make_superblock(0);
+    Superblock* b = make_superblock(3);
+    heap_.link(a);
+    heap_.link(b);
+    EXPECT_EQ(heap_.occupancy.load(), 2u);
+    heap_.unlink(a, a->fullness_group());
+    EXPECT_EQ(heap_.occupancy.load(), 1u);
 }
 
 }  // namespace
