@@ -10,7 +10,6 @@
  * with LIFO reuse:
  *
  *   gate            baseline               variant               budget
- *   profiler off    kProfilerEnabled=false shipped (rate 0)      2%
  *   idle sampler    tracing on             + idle sampler        2%
  *   hardened free   hardened_free = false  shipped (hardened)    2%
  *   armed profiler  shipped (rate 0)       rate 512 KiB          5%
@@ -18,19 +17,15 @@
  *   arena carve     mmap provider spans    reserved-arena spans  faster
  *   canary          shipped                + planted pair        flagged
  *
- * The first gate is the earn test of the HOARD_PROFILER build switch:
- * it compares the shipped build's unarmed profiler hooks against a
- * policy that compiles them out, so it is the only gate that spans two
- * template instantiations.  It reads +3-5% today, which is why the
- * switch is kept; once the hooks fit the 2% budget the switch buys
- * nothing and can go.  The rest of src/obs/ has no build switch: its
- * disarmed sites read within 2% of a compiled-out build by this
- * method.  Every other gate compares two runtime settings of the one
- * HoardAllocator<NativePolicy> instantiation that ships.
+ * Every gate compares two runtime settings of the one
+ * HoardAllocator<NativePolicy> instantiation that ships; no part of
+ * the allocator has a build switch.  Every per-op hook is armed by a
+ * bit of one hook word, so a disarmed op pays one load of that word.
  *
  * The idle sampler runs tracing on with a timeline interval so large
- * it never fires: the residue is the sampler's per-free cadence
- * countdown, which must not tax users who enable tracing.
+ * it never fires: the residue is the per-thread op tick and the due
+ * check it triggers every 256 ops, which must not tax users who
+ * enable tracing.
  *
  * Method.  Each measurement runs in its own forked process, so every
  * one re-rolls superblock placement and address-space layout instead
@@ -52,8 +47,8 @@
  *   ./build/bench/micro_obs_overhead            # report only
  *   ./build/bench/micro_obs_overhead --check    # exit 1 on a failed gate
  *
- * Environment knobs: HOARD_OBS_TOLERANCE_PCT (default 2: profiler
- * off, idle sampler, hardened free and canary), HOARD_PROF_TOLERANCE_PCT
+ * Environment knobs: HOARD_OBS_TOLERANCE_PCT (default 2: idle
+ * sampler, hardened free and canary), HOARD_PROF_TOLERANCE_PCT
  * and HOARD_LAT_TOLERANCE_PCT (default 5), HOARD_OBS_OPS (64 B pairs
  * per measurement, default 500000), HOARD_OBS_REPS (ABBA reps, default
  * 61, minimum 15).  At 61 reps (about 20 s) the canary reads +2.5% to
@@ -88,12 +83,6 @@ namespace {
 
 using namespace hoard;
 
-/** NativePolicy with only the heap profiler compiled out. */
-struct NoProfPolicy : NativePolicy
-{
-    static constexpr bool kProfilerEnabled = false;
-};
-
 /** Keeps the allocation from being optimized away. */
 inline void
 keep(void* p)
@@ -105,9 +94,8 @@ keep(void* p)
 constexpr int kSlices = 5;
 
 /** One LIFO alloc/free pair at 64 bytes. */
-template <typename Policy>
 inline void
-pair(HoardAllocator<Policy>& allocator)
+pair(HoardAllocator<NativePolicy>& allocator)
 {
     void* p = allocator.allocate(64);
     keep(p);
@@ -131,9 +119,8 @@ struct PairLoop
  * stall inside the process (a timer tick, a host hiccup) does not
  * count.
  */
-template <typename Policy>
 double
-time_pairs(HoardAllocator<Policy>& allocator, const PairLoop& loop,
+time_pairs(HoardAllocator<NativePolicy>& allocator, const PairLoop& loop,
            bool plant)
 {
     // Warm the size class so the loop never maps fresh superblocks.
@@ -162,12 +149,11 @@ time_pairs(HoardAllocator<Policy>& allocator, const PairLoop& loop,
 }
 
 /** A measurement of @p loop's 64 B pairs under @p config. */
-template <typename Policy = NativePolicy>
 std::function<double()>
 pairs_under(const Config& config, const PairLoop& loop, bool plant = false)
 {
     return [config, loop, plant] {
-        HoardAllocator<Policy> allocator(config);
+        HoardAllocator<NativePolicy> allocator(config);
         return time_pairs(allocator, loop, plant);
     };
 }
@@ -390,8 +376,8 @@ main(int argc, char** argv)
     Config traced = shipped;
     traced.observability = true;
     Config idle_sampler = traced;
-    // An interval no steady_clock timestamp reaches: the cadence
-    // countdown and claim check run, the sample never fires.
+    // An interval no steady_clock timestamp reaches: the op tick and
+    // the due check run, the sample never fires.
     idle_sampler.obs_sample_interval =
         std::numeric_limits<std::uint64_t>::max() / 2;
     Config armed_prof = shipped;
@@ -420,9 +406,6 @@ main(int argc, char** argv)
                 loop.block, 100.0 / static_cast<double>(loop.block));
 
     std::vector<Gate> gates = {
-        {"profiler off", "compiled out",
-         pairs_under<NoProfPolicy>(shipped, loop), "rate 0 (shipped)",
-         pairs_under(shipped, loop), tolerance_pct, Rule::within},
         {"idle sampler", "tracing on", pairs_under(traced, loop),
          "+ idle sampler", pairs_under(idle_sampler, loop),
          tolerance_pct, Rule::within},

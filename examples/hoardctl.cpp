@@ -31,7 +31,6 @@
 
 #include "common/cli.h"
 #include "core/hoard_allocator.h"
-#include "obs/gating.h"
 #include "obs/heap_profiler.h"
 #include "obs/trace_export.h"
 #include "policy/native_policy.h"
@@ -136,12 +135,6 @@ main(int argc, char** argv)
 
     const bool want_profile =
         !opt.profile_path.empty() || opt.profile_rate != 0;
-    if (want_profile && !obs::kProfilerCompiledIn) {
-        std::fprintf(stderr,
-                     "hoardctl: profiler compiled out "
-                     "(rebuild with -DHOARD_PROFILER=ON)\n");
-        return 2;
-    }
     if ((opt.ring_events & (opt.ring_events - 1)) != 0 ||
         opt.ring_events < 2) {
         std::fprintf(stderr,

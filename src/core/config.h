@@ -149,8 +149,8 @@ struct Config
      * with this mean, so every byte is equally likely to be sampled and
      * estimates are unbiased regardless of allocation size mix.  0 (the
      * default) disables the profiler — no table is allocated and the
-     * fast path keeps a single null check (nothing at all when the
-     * HOARD_PROFILER build option is off).  1 samples *every*
+     * fast path keeps one clear bit of the allocator's hook word.
+     * 1 samples *every*
      * allocation (exact mode, used by the reconciliation tests).
      * The facade sets it from the HOARD_PROFILE_RATE environment
      * variable for the process-wide instance, so a shimmed binary can
@@ -187,9 +187,8 @@ struct Config
      * latency.h): per-path log-linear cycle histograms with
      * deepest-stage attribution on the slow paths.  The facade sets it
      * from the HOARD_LATENCY environment variable for the process-wide
-     * instance only.  Off by default: the hot-path residue is one null
-     * check on the same read-mostly cache line as the profiler
-     * pointer.
+     * instance only.  Off by default: the hot-path residue is one clear
+     * bit of the allocator's hook word.
      */
     bool latency_histograms = false;
 

@@ -131,8 +131,7 @@ void hoard_write_prometheus(std::ostream& os);
 
 /**
  * The global instance's sampling heap profiler, or nullptr unless it
- * was armed (HOARD_PROFILE_RATE env var at first use, with
- * HOARD_PROFILER compiled in).
+ * was armed (HOARD_PROFILE_RATE env var at first use).
  */
 const obs::HeapProfiler* hoard_profiler();
 

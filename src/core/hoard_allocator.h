@@ -159,6 +159,7 @@ class HoardAllocator final : public Allocator
         if (config_.observability) {
             recorder_ = std::make_unique<obs::EventRecorder>(
                 config_.obs_ring_events);
+            hooks_ |= kTrace;
             for (auto& home : homes_)
                 home->mutex.set_profiled(true);
             if (config_.obs_sample_interval > 0) {
@@ -166,31 +167,30 @@ class HoardAllocator final : public Allocator
                     config_.obs_sample_slots,
                     static_cast<std::size_t>(config_.heap_count) + 1,
                     config_.obs_sample_interval);
+                hooks_ |= kSample | kTick;
             }
         }
-        // The latency histograms gate independently of observability,
-        // like the profiler: disarmed leaves latency_ null, so the hot
-        // paths keep one never-taken null check on the same read-mostly
-        // cache line as the profiler pointer.
+        // The latency histograms and the profiler gate independently
+        // of observability: a production process can time its ops or
+        // attribute its heap without paying for event tracing.
         if (config_.latency_histograms) {
             latency_ = std::make_unique<obs::LatencyCollector>(
                 config_.latency_sample_period,
                 config_.latency_outlier_cycles);
+            // Exact mode times every op, so it needs no tick.
+            hooks_ |= kLatency | (latency_->sample_period() == 1
+                                      ? kTimed
+                                      : kTick);
         }
-        // The profiler gates independently of observability: a
-        // production process can attribute its heap without paying for
-        // event tracing.  rate 0 leaves profiler_ null, so the hot
-        // paths keep a single never-taken null check.
-        if constexpr (Policy::kProfilerEnabled) {
-            if (config_.profile_sample_rate > 0) {
-                profiler_ = std::make_unique<obs::HeapProfiler>(
-                    config_.profile_sample_rate,
-                    config_.profile_site_slots,
-                    config_.profile_live_slots,
-                    config_.profile_max_frames,
-                    static_cast<std::uint32_t>(classes_.count()));
-            }
+        if (config_.profile_sample_rate > 0) {
+            profiler_ = std::make_unique<obs::HeapProfiler>(
+                config_.profile_sample_rate, config_.profile_site_slots,
+                config_.profile_live_slots, config_.profile_max_frames,
+                static_cast<std::uint32_t>(classes_.count()));
+            hooks_ |= kProfile;
         }
+        if (config_.purge_age_ticks != 0 || config_.rss_target_bytes != 0)
+            hooks_ |= kPurge | kTick;
     }
 
     ~HoardAllocator() override
@@ -216,21 +216,22 @@ class HoardAllocator final : public Allocator
     allocate(std::size_t size) override
     {
         Policy::work(CostKind::malloc_base);
-        int cls = classes_.class_for(size);
-        if (cls == SizeClasses::kHuge)
-            return allocate_huge(size, /*align=*/16);
+        const std::uint32_t op = op_begin();
+        const int cls = classes_.class_for(size);
         void* block = nullptr;
-        if (detail::MagazineNode* node = my_magazines()) {
-            block = magazine_pop(node, cls);
-            if (block != nullptr)
-                count_alloc(*node->ops, size, classes_.block_size(cls));
+        if (cls == SizeClasses::kHuge) {
+            block = allocate_huge(size, /*align=*/16, op);
+        } else {
+            if (detail::MagazineNode* node = my_magazines()) {
+                block = magazine_pop(node, cls, op);
+                if (block != nullptr)
+                    count_alloc(*node->ops, size, classes_.block_size(cls));
+            }
+            if (block == nullptr)
+                block = allocate_from_class(cls, size, op);
         }
-        if (block == nullptr)
-            block = allocate_from_class(cls, size);
-        if (block == nullptr)
-            return nullptr;
-        profile_alloc(block, size, classes_.block_size(cls),
-                      static_cast<std::uint32_t>(cls));
+        if ((op & kAllocTail) != 0) [[unlikely]]
+            alloc_tail(op, block, size, cls);
         return block;
     }
 
@@ -248,36 +249,26 @@ class HoardAllocator final : public Allocator
         } else {
             sb = Superblock::from_pointer(p, config_.superblock_bytes);
         }
+        const std::uint32_t op = op_begin();
         // Pair a sampled free once the pointer is known good; covers
         // the huge path too.  The superblock's sampled count — on the
         // header line this path already reads — gates the live-map
-        // probe, so the common unsampled free touches no profiler
-        // memory at all.  Only the guard stays inline: the probe
-        // itself is out of line so this branch costs deallocate no
-        // inlining budget (the helpers below must keep inlining
-        // identically to a kProfilerEnabled=false instantiation).
-        // The superblock test comes first: its header line is already
-        // hot from the resolve above, so an unsampled free decides
-        // without even loading profiler_.
-        if constexpr (Policy::kProfilerEnabled) {
-            if ((sb->huge() || sb->has_sampled()) &&
-                profiler_ != nullptr) [[unlikely]]
-                profile_free_slow(sb, p);
-        }
-        if (sb->huge()) {
-            deallocate_huge(sb);
-            return;
-        }
-        // Either path counts the free on the shard that accepts the
-        // block; a rejected double free counts nothing.
-        if (detail::MagazineNode* node = my_magazines())
-            magazine_push(node, sb, p);
+        // probe, so an unsampled free touches no profiler memory.
+        if ((op & kProfile) != 0 && (sb->huge() || sb->has_sampled()))
+            [[unlikely]]
+            profile_free_slow(sb, p);
+        // Either small path counts the free on the shard that accepts
+        // the block; a rejected double free counts nothing.
+        if (sb->huge())
+            deallocate_huge(sb, op);
+        else if (detail::MagazineNode* node = my_magazines())
+            magazine_push(node, sb, p, op);
         else
-            free_block(sb, p);
+            free_block(sb, p, op);
         // Tail position: no locks held here, so a due sample or purge
         // pass may take heap locks without self-deadlock risk.
-        maybe_sample();
-        maybe_purge();
+        if ((op & kChecks) != 0) [[unlikely]]
+            run_due_checks(op);
     }
 
     std::size_t
@@ -324,23 +315,23 @@ class HoardAllocator final : public Allocator
             return allocate(size == 0 ? 1 : size);
 
         Policy::work(CostKind::malloc_base);
+        const std::uint32_t op = op_begin();
         // Find a class big enough that an aligned point with `size`
         // bytes after it must exist inside the block.
-        std::size_t need = size + align;
-        int cls = classes_.class_for(need);
-        void* block;
+        const int cls = classes_.class_for(size + align);
+        void* out;
         if (cls == SizeClasses::kHuge) {
-            return allocate_huge(size, align);
+            out = allocate_huge(size, align, op);
+        } else {
+            out = allocate_from_class(cls, size, op);
+            if (out != nullptr)
+                out = reinterpret_cast<void*>(detail::align_up(
+                    reinterpret_cast<std::uintptr_t>(out), align));
         }
-        block = allocate_from_class(cls, size);
-        if (block == nullptr)
-            return nullptr;
-        auto addr = reinterpret_cast<std::uintptr_t>(block);
         // Profile with the *returned* (interior) pointer: that is the
         // one the program frees, so it is the live-map key.
-        void* out = reinterpret_cast<void*>(detail::align_up(addr, align));
-        profile_alloc(out, size, classes_.block_size(cls),
-                      static_cast<std::uint32_t>(cls));
+        if ((op & kAllocTail) != 0) [[unlikely]]
+            alloc_tail(op, out, size, cls);
         return out;
     }
 
@@ -683,7 +674,7 @@ class HoardAllocator final : public Allocator
         // Merged per-path latency histograms: fixed arrays, so no
         // allocation here either; exact at quiescence like the
         // counters above.
-        if (latency_ != nullptr) {
+        if ((hooks_ & kLatency) != 0) {
             snap.latency = latency_->snapshot();
             snap.latency_armed = true;
         }
@@ -728,7 +719,7 @@ class HoardAllocator final : public Allocator
     const os::PageProvider& provider() const { return provider_; }
 
     /** True when event tracing and lock profiling are active. */
-    bool observability_enabled() const { return recorder_ != nullptr; }
+    bool observability_enabled() const { return (hooks_ & kTrace) != 0; }
 
     /**
      * The time-series sampler, or nullptr when sampling is off
@@ -752,7 +743,7 @@ class HoardAllocator final : public Allocator
     bool
     sample_now()
     {
-        if (sampler_ == nullptr)
+        if ((hooks_ & kSample) == 0)
             return false;
         take_sample(sampler_->claim_flush(Policy::timestamp()));
         return true;
@@ -820,7 +811,7 @@ class HoardAllocator final : public Allocator
         reuse_cache_.reset_poppers();
         // A dead parent thread may have held the sampler's append
         // ordering lock at the fork instant.
-        if (sampler_ != nullptr)
+        if ((hooks_ & kSample) != 0)
             sampler_->child_after_fork();
         flush_thread_caches();
         repair_after_fork();
@@ -830,7 +821,7 @@ class HoardAllocator final : public Allocator
 
     /**
      * The sampling heap profiler, or null when disabled
-     * (profile_sample_rate == 0 or HOARD_PROFILER compiled out).
+     * (profile_sample_rate == 0).
      * Lock-free throughout, so it is safe to export from any thread at
      * any time; counters are exact only at quiescence.
      */
@@ -851,35 +842,126 @@ class HoardAllocator final : public Allocator
         return config;
     }
 
-    /**
-     * Sampling hook shared by every allocation path.  With the
-     * profiler disarmed this is one predicted null check; armed, it
-     * adds the byte countdown (load, subtract, store, branch), and
-     * only a triggered sample pays for a backtrace and table insert.
-     * Charges @p rounded bytes so exact mode (rate 1) samples every
-     * allocation — requested can legally be 0.
-     */
-    void
-    profile_alloc(void* block, std::size_t requested, std::size_t rounded,
-                  std::uint32_t cls)
+    /// @name The hook word (hooks_) and the per-op hook tail.
+    ///
+    /// Every per-op hook — tracing, latency timing, the heap profiler,
+    /// the time-series sampler, the purge cadence — is armed by one bit
+    /// of hooks_, set by the constructor and never written again.
+    /// allocate, allocate_aligned and deallocate read the word once, in
+    /// op_begin(), and every hook decision of that op tests the copy it
+    /// returns; slow paths off the op test hooks_ itself.  With nothing
+    /// armed, an op's hook residue is tests of that one register.
+    /// @{
+
+    /** Hook bits armed in hooks_ by the constructor. */
+    static constexpr std::uint32_t kTrace = 1u << 0;    ///< event rings
+    static constexpr std::uint32_t kLatency = 1u << 1;  ///< histograms
+    static constexpr std::uint32_t kProfile = 1u << 2;  ///< heap profiler
+    static constexpr std::uint32_t kSample = 1u << 3;   ///< timeline
+    static constexpr std::uint32_t kPurge = 1u << 4;    ///< purge cadence
+    /** An armed hook runs on the per-thread op tick (Policy::op_tick):
+        the sampler, the purge cadence, and latency at a sample period
+        above 1. */
+    static constexpr std::uint32_t kTick = 1u << 5;
+    /** Latency times this op: set by the tick on one op in the sample
+        period, and in hooks_ itself at period 1 (exact mode). */
+    static constexpr std::uint32_t kTimed = 1u << 6;
+    /** The tick expired with the sampler or purge cadence armed: the
+        op runs their due checks at its lock-free tail.  Op copy only. */
+    static constexpr std::uint32_t kChecks = 1u << 7;
+    /** The bits that send an allocation through alloc_tail(). */
+    static constexpr std::uint32_t kAllocTail = kProfile | kChecks;
+
+    /** The op's copy of the hook word: the one read of hooks_ an
+        allocation or free makes, plus the tick's verdict when a hook
+        that rides on the tick is armed. */
+    std::uint32_t
+    op_begin()
     {
-        if constexpr (Policy::kProfilerEnabled) {
-            if (profiler_ == nullptr) [[likely]]
-                return;
-            if (!profiler_->tick(Policy::thread_index(), rounded))
-                [[likely]]
-                return;
-            profile_alloc_slow(block, requested, rounded, cls);
-        } else {
-            (void)block;
-            (void)requested;
-            (void)rounded;
-            (void)cls;
+        const std::uint32_t op = hooks_;
+        if ((op & kTick) != 0 && --Policy::op_tick().countdown == 0)
+            [[unlikely]]
+            return op_tick_expired(op);
+        return op;
+    }
+
+    /** The tick reached zero: decide whether latency times this op and
+        whether the due checks run, and reload (detail::OpTick). */
+    __attribute__((noinline)) std::uint32_t
+    op_tick_expired(std::uint32_t op)
+    {
+        const std::uint32_t period =
+            (op & (kLatency | kTimed)) == kLatency
+                ? latency_->sample_period()
+                : 0;
+        const bool checks = (op & (kSample | kPurge)) != 0;
+        if (Policy::op_tick().expire(period, checks))
+            op |= kTimed;
+        return checks ? op | kChecks : op;
+    }
+
+    /**
+     * The hooks at an allocation's lock-free tail: the heap profiler's
+     * byte countdown for @p block (null when the op failed), then any
+     * due checks.  @p cls is the block's size class, or kHuge.  Only a
+     * triggered sample pays for a backtrace and table insert; the
+     * countdown charges rounded bytes so exact mode (rate 1) samples
+     * every allocation — requested can legally be 0.  always_inline:
+     * the countdown runs here on every armed allocation, and a call
+     * frame around it costs more than the countdown.
+     */
+    inline __attribute__((always_inline)) void
+    alloc_tail(std::uint32_t op, void* block, std::size_t size, int cls)
+    {
+        if ((op & kProfile) != 0 && block != nullptr) {
+            // Huge accounting charges the user size to in_use, so the
+            // profiler's "rounded" is the user size too — that keeps
+            // the live-bytes reconciliation exact across both paths.
+            const bool huge = cls == SizeClasses::kHuge;
+            const std::size_t rounded =
+                huge ? size : classes_.block_size(cls);
+            if (profiler_->tick(Policy::thread_index(), rounded))
+                [[unlikely]]
+                profile_alloc_slow(
+                    block, size, rounded,
+                    huge ? obs::HeapProfiler::kHugeClass
+                         : static_cast<std::uint32_t>(cls));
+        }
+        if ((op & kChecks) != 0)
+            run_due_checks(op);
+    }
+
+    /**
+     * The due checks of an op whose tick expired: takes a time-series
+     * sample, and runs a purge pass, when one is due.  Runs at the
+     * op's tail, where no locks are held — take_sample() acquires each
+     * heap's lock one at a time, which would self-deadlock from inside
+     * a locked region in whole-process deployments (global_new.h).
+     * The purge CAS elects a single thread per interval; losers — and
+     * winners — never block here beyond the pass itself.
+     */
+    __attribute__((noinline)) void
+    run_due_checks(std::uint32_t op)
+    {
+        if ((op & kSample) != 0) {
+            const std::uint64_t now = Policy::timestamp();
+            if (sampler_->claim_due(now))
+                take_sample(now);
+        }
+        if ((op & kPurge) != 0) {
+            const std::uint64_t now = Policy::timestamp();
+            std::uint64_t due =
+                next_purge_tick_.load(std::memory_order_relaxed);
+            if (now >= due &&
+                next_purge_tick_.compare_exchange_strong(
+                    due, now + config_.purge_interval_ticks,
+                    std::memory_order_relaxed))
+                purge();
         }
     }
 
     /**
-     * The triggered-sample tail of profile_alloc: backtrace, table
+     * The triggered-sample tail of alloc_tail: backtrace, table
      * insert, and the superblock's sampled-count bump that lets the
      * free path skip live-map probes.  Out of line and cold so the
      * 512-byte frame scratch and the record plumbing stay off the
@@ -919,6 +1001,8 @@ class HoardAllocator final : public Allocator
             !sb->huge())
             sb->sampled_dec();
     }
+
+    /// @}
 
     /// @name Thread-local magazines (extension; layout in magazine.h).
     /// @{
@@ -1039,17 +1123,13 @@ class HoardAllocator final : public Allocator
      * the caller takes the reclaiming slow path.
      */
     void*
-    magazine_pop(detail::MagazineNode* node, int cls)
+    magazine_pop(detail::MagazineNode* node, int cls, std::uint32_t op)
     {
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
         if (mag.head == nullptr) [[unlikely]]
-            return magazine_pop_slow(node, cls);
-        if (tracing()) {
-            record_event(obs::EventKind::cache_hit, my_heap_index(),
-                         cls, classes_.block_size(cls));
-        }
-        if (latency_ != nullptr && lat_tick(node)) [[unlikely]]
-            return magazine_pop_timed(node, cls);
+            return magazine_pop_slow(node, cls, op);
+        if ((op & (kTrace | kTimed)) != 0) [[unlikely]]
+            return magazine_pop_hooked(node, cls, op);
         return magazine_pop_take(node, mag, cls);
     }
 
@@ -1068,14 +1148,21 @@ class HoardAllocator final : public Allocator
         return block;
     }
 
-    /** A sampled magazine hit: the same pop tail bracketed by the
-        cycle clock.  noinline: one in latency_sample_period ops, and
-        keeping it out of line holds magazine_pop to its unarmed size
-        (see refill_magazine on inlining parity). */
+    /** A magazine hit with a hook on it: the cache_hit event, and the
+        same pop tail bracketed by the cycle clock when latency times
+        this op.  noinline: keeping it out of line holds magazine_pop
+        to its unarmed size (see refill_magazine on inlining parity). */
     __attribute__((noinline)) void*
-    magazine_pop_timed(detail::MagazineNode* node, int cls)
+    magazine_pop_hooked(detail::MagazineNode* node, int cls,
+                        std::uint32_t op)
     {
+        if ((op & kTrace) != 0) {
+            record_event(obs::EventKind::cache_hit, my_heap_index(), cls,
+                         classes_.block_size(cls));
+        }
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
+        if ((op & kTimed) == 0)
+            return magazine_pop_take(node, mag, cls);
         const std::uint64_t t0 = Policy::cycle_timestamp();
         void* block = magazine_pop_take(node, mag, cls);
         latency_commit(obs::LatencyPath::malloc_fast, t0);
@@ -1090,21 +1177,22 @@ class HoardAllocator final : public Allocator
         nothing is recorded here for a failed op.  noinline: see
         refill_magazine. */
     __attribute__((noinline)) void*
-    magazine_pop_slow(detail::MagazineNode* node, int cls)
+    magazine_pop_slow(detail::MagazineNode* node, int cls,
+                      std::uint32_t op)
     {
-        if (tracing()) {
+        if ((op & kTrace) != 0) {
             record_event(obs::EventKind::cache_miss, my_heap_index(),
                          cls, classes_.block_size(cls));
         }
         obs::LatencyPath stage = obs::LatencyPath::malloc_refill;
         std::uint64_t t0 = 0;
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             t0 = Policy::cycle_timestamp();
         if (refill_magazine(node, cls, &stage) == 0)
             return nullptr;
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
         void* block = magazine_pop_take(node, mag, cls);
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             latency_commit(stage, t0);
         return block;
     }
@@ -1119,7 +1207,8 @@ class HoardAllocator final : public Allocator
      * superblock free list.
      */
     void
-    magazine_push(detail::MagazineNode* node, Superblock* sb, void* p)
+    magazine_push(detail::MagazineNode* node, Superblock* sb, void* p,
+                  std::uint32_t op)
     {
         void* block = sb->block_start(p);
         int cls = sb->size_class();
@@ -1130,10 +1219,10 @@ class HoardAllocator final : public Allocator
         }
         node->ops->count_free(sb->block_bytes());
         if (mag.count >= mag.cap) [[unlikely]] {
-            magazine_push_spill(node, sb, cls, block);
+            magazine_push_spill(node, sb, cls, block, op);
             return;
         }
-        if (latency_ != nullptr && lat_tick(node)) [[unlikely]] {
+        if ((op & kTimed) != 0) [[unlikely]] {
             magazine_push_timed(node, sb, cls, block);
             return;
         }
@@ -1166,8 +1255,8 @@ class HoardAllocator final : public Allocator
             std::memory_order_relaxed);
     }
 
-    /** A sampled magazine park (free fast path).  noinline: see
-        magazine_pop_timed. */
+    /** A timed magazine park (free fast path).  noinline: see
+        magazine_pop_hooked. */
     __attribute__((noinline)) void
     magazine_push_timed(detail::MagazineNode* node, Superblock* sb,
                         int cls, void* block)
@@ -1182,15 +1271,15 @@ class HoardAllocator final : public Allocator
         when armed (slow-path op).  noinline: see refill_magazine. */
     __attribute__((noinline)) void
     magazine_push_spill(detail::MagazineNode* node, Superblock* sb,
-                        int cls, void* block)
+                        int cls, void* block, std::uint32_t op)
     {
         std::uint64_t t0 = 0;
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             t0 = Policy::cycle_timestamp();
         spill_magazine(node, cls);
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
         magazine_park(node, mag, sb, block);
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             latency_commit(obs::LatencyPath::free_spill, t0);
     }
 
@@ -1489,7 +1578,7 @@ class HoardAllocator final : public Allocator
         // queue is a distinct slow-path stage, nested inside whichever
         // op visited the lock.
         std::uint64_t t0 = 0;
-        if (latency_ != nullptr)
+        if ((hooks_ & kLatency) != 0)
             t0 = Policy::cycle_timestamp();
         void* chain = home.remote_drain();
         std::size_t drained = 0;
@@ -1510,7 +1599,7 @@ class HoardAllocator final : public Allocator
         }
         if (drained != 0) {
             stats_.remote_drains.add(drained);
-            if (latency_ != nullptr)
+            if ((hooks_ & kLatency) != 0)
                 latency_commit(obs::LatencyPath::owner_drain, t0);
         }
         return drained;
@@ -1562,17 +1651,6 @@ class HoardAllocator final : public Allocator
     /// @}
 
     /**
-     * True when events should be recorded.  Sites test it before
-     * computing event arguments, so a disarmed recorder costs one
-     * predicted branch.
-     */
-    bool
-    tracing() const
-    {
-        return recorder_ != nullptr;
-    }
-
-    /**
      * Records one trace event; costs one predicted branch when
      * tracing is off.  Safe to call with or without heap locks held
      * (the ring is lock-free).
@@ -1581,7 +1659,7 @@ class HoardAllocator final : public Allocator
     record_event(obs::EventKind kind, int heap, int size_class,
                  std::uint64_t bytes)
     {
-        if (recorder_ != nullptr) {
+        if ((hooks_ & kTrace) != 0) {
             recorder_->record(Policy::timestamp(),
                               Policy::thread_index(), kind, heap,
                               size_class, bytes);
@@ -1594,37 +1672,19 @@ class HoardAllocator final : public Allocator
     /// anything deeper, spills, huge allocs/frees, owner drains) are
     /// always timed when armed — they are rare and they are where the
     /// tail lives.  *Fast-path* operations (magazine hit/park, locked
-    /// local alloc/free) are timed one in Config::latency_sample_period
-    /// per thread, so the armed overhead of an untimed fast op is one
-    /// null check plus one in-cache countdown decrement (on the
-    /// magazine node when there is one, a thread_local otherwise;
-    /// lat_tick below).  Period 1
-    /// times everything: histogram counts then reconcile exactly with
-    /// the allocator's op counters (the integration tests' mode).
-    /// Every record is made at most once per operation, and only for
+    /// local alloc/free) are timed when the op carries kTimed: one op
+    /// in Config::latency_sample_period per thread, chosen by the
+    /// per-thread op tick (op_begin), so the armed overhead of an
+    /// untimed fast op is the tick's one decrement.  Period 1 times
+    /// everything: histogram counts then reconcile exactly with the
+    /// allocator's op counters (the integration tests' mode).  Every
+    /// record is made at most once per operation, and only for
     /// operations the op counters count (an OOM-null allocation or a
     /// rejected bad free records nothing).
     /// @{
 
     /**
-     * Fast-path sampling countdown for magazine ops.  Same cadence as
-     * LatencyCollector::tick() but the counter lives on the caller's
-     * magazine node — the node pointer is already in a register and
-     * its cache line already dirty, so the untimed armed cost is one
-     * L1 RMW plus a predicted branch (a thread_local would add a GOT
-     * load and a %fs-relative access).  Caller has checked latency_.
-     */
-    bool
-    lat_tick(detail::MagazineNode* node)
-    {
-        if (--node->lat_countdown != 0) [[likely]]
-            return false;
-        node->lat_countdown = latency_->sample_period();
-        return true;
-    }
-
-    /**
-     * Records one timed op ending now.  Caller has checked latency_.
+     * Records one timed op ending now.  Caller has checked kLatency.
      * The outlier test rides the same branch misprediction budget:
      * with the knob unset is_outlier is one always-false compare.
      */
@@ -1658,36 +1718,6 @@ class HoardAllocator final : public Allocator
     }
 
     /// @}
-
-    /// Frees between cadence checks.  The residue rides only on
-    /// deallocate() (one thread_local decrement per free, a clock read
-    /// every kSampleCheckPeriod frees) to stay inside the
-    /// micro_obs_overhead --check idle budget; frees track churn, and
-    /// alloc-only growth phases are covered by the sample_now() flush.
-    static constexpr unsigned kSampleCheckPeriod = 256;
-
-    /**
-     * Takes a time-series sample if one is due.  Called only at the
-     * tail of deallocate(), where no locks are held — take_sample()
-     * acquires each heap's lock one at a time, which would
-     * self-deadlock from inside a locked region in whole-process
-     * deployments (global_new.h).  When sampling is off the cost is
-     * one null check per free.
-     */
-    void
-    maybe_sample()
-    {
-        if (sampler_ == nullptr)
-            return;
-        thread_local unsigned countdown = kSampleCheckPeriod;
-        if (--countdown != 0)
-            return;
-        countdown = kSampleCheckPeriod;
-        std::uint64_t now = Policy::timestamp();
-        if (!sampler_->claim_due(now))
-            return;
-        take_sample(now);
-    }
 
     /**
      * Records one sample stamped @p now: global gauges and counters
@@ -1731,14 +1761,11 @@ class HoardAllocator final : public Allocator
                              stats_.bad_free_foreign.get(),
                              stats_.bad_free_interior.get(),
                              stats_.bad_free_double.get());
-        if constexpr (Policy::kProfilerEnabled) {
-            if (profiler_ != nullptr) {
-                const obs::ProfilerTotals pt = profiler_->totals();
-                writer.set_profiler(pt.sampled_requested,
-                                    pt.sampled_rounded);
-            }
+        if ((hooks_ & kProfile) != 0) {
+            const obs::ProfilerTotals pt = profiler_->totals();
+            writer.set_profiler(pt.sampled_requested, pt.sampled_rounded);
         }
-        if (latency_ != nullptr) {
+        if ((hooks_ & kLatency) != 0) {
             // LatencySnapshot is fixed-size arrays on the stack —
             // no allocation, so the no-alloc contract above holds.
             const obs::LatencySnapshot lat = latency_->snapshot();
@@ -1853,48 +1880,32 @@ class HoardAllocator final : public Allocator
      * accounting is already settled when the try-path reports failure,
      * so the retry observes a consistent allocator.  @p size is the
      * request, counted on the heap's stats shard on success.
+     *
+     * With latency armed a probe rides along.  With magazines off this
+     * is malloc's per-op path, so the local hit is timed only when @p op
+     * carries kTimed; the probe self-arms at slow-path entry
+     * regardless, so refills/fetches/maps are always timed — from op
+     * start when the tick selected the op, from slow-path entry
+     * otherwise.  Records only ops that return a block, like the
+     * counters.
      */
     void*
-    allocate_from_class(int cls, std::size_t size)
-    {
-        if (latency_ != nullptr) [[unlikely]]
-            return allocate_from_class_timed(cls, size);
-        void* block = try_allocate_from_class(cls, size);
-        if (block == nullptr) {
-            stats_.oom_reclaims.add();
-            record_event(obs::EventKind::oom_reclaim, my_heap_index(),
-                         cls, classes_.block_size(cls));
-            release_free_memory();
-            block = try_allocate_from_class(cls, size);
-            if (block == nullptr)
-                stats_.oom_failures.add();
-        }
-        return block;
-    }
-
-    /**
-     * allocate_from_class with the latency probe threaded through.
-     * With magazines off this is malloc's per-op path, so the local
-     * hit is *sampled* (tick); the probe self-arms at slow-path entry
-     * regardless, so refills/fetches/maps are always timed — from op
-     * start when the countdown selected the op, from slow-path entry
-     * otherwise (exact mode, period 1, always times from the start).
-     * Records only ops that return a block, like the counters.
-     * noinline: armed-only, off the disarmed comparison's budget.
-     */
-    __attribute__((noinline)) void*
-    allocate_from_class_timed(int cls, std::size_t size)
+    allocate_from_class(int cls, std::size_t size, std::uint32_t op)
     {
         obs::LatencyProbe probe;
-        if (latency_->tick())
-            probe.begin(Policy::cycle_timestamp());
-        void* block = try_allocate_from_class(cls, size, &probe);
+        obs::LatencyProbe* timing = nullptr;
+        if ((op & kLatency) != 0) [[unlikely]] {
+            timing = &probe;
+            if ((op & kTimed) != 0)
+                probe.begin(Policy::cycle_timestamp());
+        }
+        void* block = try_allocate_from_class(cls, size, timing);
         if (block == nullptr) {
             stats_.oom_reclaims.add();
             record_event(obs::EventKind::oom_reclaim, my_heap_index(),
                          cls, classes_.block_size(cls));
             release_free_memory();
-            block = try_allocate_from_class(cls, size, &probe);
+            block = try_allocate_from_class(cls, size, timing);
             if (block == nullptr)
                 stats_.oom_failures.add();
         }
@@ -1979,19 +1990,18 @@ class HoardAllocator final : public Allocator
      * noinline: lock-bound, and see refill_magazine.
      */
     __attribute__((noinline)) void
-    free_block(Superblock* sb, void* p)
+    free_block(Superblock* sb, void* p, std::uint32_t op)
     {
         // Sampled timing: with magazines off this is free's per-op
-        // path.  The countdown decides up front; the stage is whichever
-        // branch the op takes (owner-locked accept = free_fast, busy
-        // owner = free_remote_push).  A rejected double free records
-        // nothing, matching the untouched op counters.
+        // path.  The tick decided up front (kTimed); the stage is
+        // whichever branch the op takes (owner-locked accept =
+        // free_fast, busy owner = free_remote_push).  A rejected
+        // double free records nothing, matching the untouched op
+        // counters.
+        const bool timed = (op & kTimed) != 0;
         std::uint64_t t0 = 0;
-        bool timed = false;
-        if (latency_ != nullptr && latency_->tick()) [[unlikely]] {
-            timed = true;
+        if (timed) [[unlikely]]
             t0 = Policy::cycle_timestamp();
-        }
         void* block = sb->block_start(p);
         // Read before freeing: once the block lands, an emptied
         // superblock can be retired to the reuse cache and reformatted
@@ -2498,7 +2508,7 @@ class HoardAllocator final : public Allocator
     retire_empty(Superblock* sb)
     {
         sb->set_owner(nullptr);
-        if (purge_armed_)
+        if ((hooks_ & kPurge) != 0)
             sb->set_retire_tick(Policy::timestamp());
         // Capture event fields before the push publishes the
         // superblock: a concurrent popper may reformat it immediately.
@@ -2575,40 +2585,6 @@ class HoardAllocator final : public Allocator
         cache_mutex_.unlock();
     }
 
-    /// Frees between purge-cadence checks.  Coarser than the sampler's
-    /// period: a due check still costs a timestamp, and a due pass
-    /// issues madvise.
-    static constexpr unsigned kPurgeCheckPeriod = 1024;
-
-    /**
-     * Deallocate-tail hook: every kPurgeCheckPeriod frees per thread,
-     * check whether a purge pass is due (policy time has passed
-     * next_purge_tick_) and run one.  The CAS elects a single thread
-     * per interval; losers — and winners — never block here beyond the
-     * pass itself.  Compiled to a single predicted-not-taken branch
-     * when the pass is disarmed.
-     */
-    void
-    maybe_purge()
-    {
-        if (!purge_armed_) [[likely]]
-            return;
-        thread_local unsigned countdown = kPurgeCheckPeriod;
-        if (--countdown != 0) [[likely]]
-            return;
-        countdown = kPurgeCheckPeriod;
-        const std::uint64_t now = Policy::timestamp();
-        std::uint64_t due =
-            next_purge_tick_.load(std::memory_order_relaxed);
-        if (now < due)
-            return;
-        if (!next_purge_tick_.compare_exchange_strong(
-                due, now + config_.purge_interval_ticks,
-                std::memory_order_relaxed))
-            return;
-        purge();
-    }
-
     /**
      * Unmaps an unlinked superblock, settling the footprint gauges.
      * The caller has already removed @p sb from its home's lists and
@@ -2639,10 +2615,10 @@ class HoardAllocator final : public Allocator
         Always timed when armed, attributed to malloc_fresh_map (every
         huge allocation maps fresh memory); records on success only. */
     void*
-    allocate_huge(std::size_t size, std::size_t align)
+    allocate_huge(std::size_t size, std::size_t align, std::uint32_t op)
     {
         std::uint64_t t0 = 0;
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             t0 = Policy::cycle_timestamp();
         void* p = try_allocate_huge(size, align);
         if (p == nullptr) {
@@ -2654,7 +2630,7 @@ class HoardAllocator final : public Allocator
             if (p == nullptr)
                 stats_.oom_failures.add();
         }
-        if (p != nullptr && latency_ != nullptr)
+        if (p != nullptr && (op & kLatency) != 0)
             latency_commit(obs::LatencyPath::malloc_fresh_map, t0);
         return p;
     }
@@ -2690,22 +2666,17 @@ class HoardAllocator final : public Allocator
         stats_.committed_bytes.add(total);
         record_event(obs::EventKind::huge_alloc, 0, SizeClasses::kHuge,
                      size);
-        // Huge accounting charges the user size to in_use, so the
-        // profiler's "rounded" is the user size too — that keeps the
-        // live-bytes reconciliation exact across both paths.
-        profile_alloc(static_cast<char*>(memory) + offset, size, size,
-                      obs::HeapProfiler::kHugeClass);
         return static_cast<char*>(memory) + offset;
     }
 
     void
-    deallocate_huge(Superblock* sb)
+    deallocate_huge(Superblock* sb, std::uint32_t op)
     {
         // Always timed when armed; recorded as free_fast (a huge free
         // is rare, and its munmap cost is genuine free-path latency —
         // docs/OBSERVABILITY.md documents the attribution).
         std::uint64_t t0 = 0;
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             t0 = Policy::cycle_timestamp();
         Policy::work(CostKind::os_map);
         {
@@ -2720,7 +2691,7 @@ class HoardAllocator final : public Allocator
         stats_.committed_bytes.sub(total);
         sb->~Superblock();
         provider_.unmap(sb, total);
-        if (latency_ != nullptr)
+        if ((op & kLatency) != 0)
             latency_commit(obs::LatencyPath::free_fast, t0);
     }
 
@@ -2837,17 +2808,25 @@ class HoardAllocator final : public Allocator
     /// Identity stamped into every superblock this instance formats
     /// (the hardened free path's foreign-span check).
     const std::uint32_t arena_id_ = detail::next_arena_id();
-    /// Sampling heap profiler; non-null only when
-    /// Config::profile_sample_rate > 0 (see profile_alloc).  Declared
-    /// among the read-mostly members every allocation touches so the
-    /// unarmed null check shares their cache line, and destroyed
+    /// The hook word: the hook bits (kTrace .. kPurge) the
+    /// constructor armed, kTick when one of them rides on the op tick,
+    /// and kTimed in latency's exact mode.  Written only by the
+    /// constructor; every hook test reads it, and allocate and
+    /// deallocate read it once per op (op_begin).  Declared among the
+    /// read-mostly members every op touches, beside the four hook
+    /// objects its bits stand for.
+    std::uint32_t hooks_ = 0;
+    /// Sampling heap profiler; non-null only with kProfile.  Destroyed
     /// after the heaps (reverse declaration order) so teardown flushes
     /// can still pair sampled frees.
     std::unique_ptr<obs::HeapProfiler> profiler_;
-    /// Per-path latency histograms; non-null only when armed
-    /// (Config::latency_histograms).  Read-mostly like profiler_, for
-    /// the same disarmed-null-check reason.
+    /// Per-path latency histograms; non-null only with kLatency.
     std::unique_ptr<obs::LatencyCollector> latency_;
+    /// Event rings; non-null only with kTrace.
+    std::unique_ptr<obs::EventRecorder> recorder_;
+    /// Gauge time series; non-null only with kSample (tracing on and
+    /// Config::obs_sample_interval > 0).
+    std::unique_ptr<obs::TimeSeriesSampler> sampler_;
     /// Hull of every span ever mapped for this instance; [max, 0)
     /// until the first map, so a fresh allocator rejects everything.
     std::atomic<std::uintptr_t> mapped_lo_{
@@ -2872,14 +2851,10 @@ class HoardAllocator final : public Allocator
     /// empty when caching is disabled.
     std::vector<detail::MagazineLimits> mag_limits_;
     HugeStripe huge_stripes_[kHugeStripes];
-    /// True when any purge trigger is configured; hoisted so the
-    /// deallocate tail's maybe_purge() costs one predictable branch.
-    const bool purge_armed_ = config_.purge_age_ticks != 0 ||
-                              config_.rss_target_bytes != 0;
     /// Serializes purge passes (manual purge() vs. the cadence hook).
     typename Policy::Mutex purge_mutex_;
     /// Policy time before which no automatic pass runs; the CAS in
-    /// maybe_purge() elects one thread per interval.
+    /// run_due_checks() elects one thread per interval.
     std::atomic<std::uint64_t> next_purge_tick_{0};
     /// Process-wide statistics.  Rare events are counted here directly;
     /// the four per-op fields are written only by fold_stats, which
@@ -2894,11 +2869,6 @@ class HoardAllocator final : public Allocator
     /// In-use growth after which a shard folds: one superblock.
     const std::int64_t publish_step_ =
         static_cast<std::int64_t>(config_.superblock_bytes);
-    /// Event rings; non-null only while tracing is enabled.
-    std::unique_ptr<obs::EventRecorder> recorder_;
-    /// Gauge time series; non-null only when tracing is enabled and
-    /// Config::obs_sample_interval > 0.
-    std::unique_ptr<obs::TimeSeriesSampler> sampler_;
 };
 
 }  // namespace hoard

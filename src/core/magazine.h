@@ -175,18 +175,6 @@ struct MagazineNode
         with at most this many classes. */
     std::uint32_t capacity = 0;
 
-    /**
-     * Latency-sampling countdown (obs/latency.h): decremented on each
-     * armed fast-path op; hitting zero selects the op for timing and
-     * reloads Config::latency_sample_period.  Lives here instead of a
-     * thread_local because the node pointer is already in a register
-     * on every magazine op and this line is already dirty — the armed
-     * untimed cost stays one in-cache decrement and a predicted
-     * branch.  Starts at 1 so a fresh thread's first op is timed
-     * (exact from the first op at period 1).  Owner-only, like mags.
-     */
-    std::uint32_t lat_countdown = 1;
-
     /** Per-class magazines; points into this node's own allocation. */
     Magazine* mags = nullptr;
 };

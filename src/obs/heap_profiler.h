@@ -152,9 +152,10 @@ class HeapProfiler
      * and a predicted-not-taken branch; deliberately *not* a
      * fetch_sub, so no lock-prefixed instruction lands on the
      * allocation fast path (slot sharing makes a lost update merely a
-     * skipped tick).
+     * skipped tick).  always_inline: it runs on every allocation
+     * while armed, and a call around it costs more than it does.
      */
-    bool
+    inline __attribute__((always_inline)) bool
     tick(int thread_index, std::size_t bytes)
     {
         ThreadState& t =

@@ -5,8 +5,6 @@
 namespace hoard {
 namespace obs {
 
-thread_local std::uint32_t LatencyCollector::t_countdown = 1;
-
 const char*
 to_string(LatencyPath path)
 {

@@ -19,8 +19,9 @@
  *  - AtomicLatencyHistogram: the same bucket layout with relaxed
  *    atomic counters, for lock-free concurrent recording.
  *  - LatencyCollector: what HoardAllocator owns when armed — sharded
- *    atomic histograms per path, a sampling countdown for the fast
- *    paths, and a fixed ring of outlier records (ops that exceeded
+ *    atomic histograms per path, the fast-path sample period (the
+ *    per-thread op tick, common/op_tick.h, picks the timed ops), and a
+ *    fixed ring of outlier records (ops that exceeded
  *    Config::latency_outlier_cycles, with an optional backtrace).
  *
  * Clocks are policy time: rdtsc-style cycles natively, Machine
@@ -301,9 +302,10 @@ struct LatencyOutlier
 
 /**
  * What an armed allocator owns: per-path atomic histograms sharded by
- * thread index (spreading fetch-add contention), a per-thread
- * sampling countdown deciding which fast-path ops get timed, and a
- * lock-free overwrite ring of the most recent outliers.
+ * thread index (spreading fetch-add contention), the sample period
+ * the allocator's per-thread op tick (common/op_tick.h) times
+ * fast-path ops at, and a lock-free overwrite ring of the most recent
+ * outliers.
  *
  * Slow-path ops (refill and deeper, spills, huge) are always timed —
  * they are rare and they are where the tail lives, so outliers are
@@ -328,25 +330,6 @@ class LatencyCollector
 
     LatencyCollector(const LatencyCollector&) = delete;
     LatencyCollector& operator=(const LatencyCollector&) = delete;
-
-    /**
-     * Fast-path sampling countdown: true when the caller should time
-     * this op.  One thread-local decrement and a predicted branch —
-     * the entire armed cost of an untimed fast-path op.  The
-     * countdown is per OS thread and shared across collector
-     * instances (cadence only; correctness never depends on it).
-     */
-    bool
-    tick()
-    {
-        // Single decrement-and-branch on the thread-local (one RMW
-        // instruction on x86); the countdown is always >= 1, so the
-        // untimed path never stores a reset.
-        if (--t_countdown != 0) [[likely]]
-            return false;
-        t_countdown = period_;
-        return true;
-    }
 
     /** Records one timed op.  Lock-free; any thread. */
     void
@@ -405,8 +388,6 @@ class LatencyCollector
     {
         std::array<AtomicLatencyHistogram, kLatencyPathCount> paths;
     };
-
-    static thread_local std::uint32_t t_countdown;
 
     const std::uint32_t period_;
     const std::uint64_t outlier_cycles_;

@@ -11,8 +11,9 @@
  * simulated runs produce the same shape of timeline).
  *
  * Design constraints mirror event_ring.h:
- *  - the per-operation cadence check must be branch-cheap (the
- *    micro_obs_overhead --check budget covers it);
+ *  - the per-operation cadence check must be branch-cheap: it rides
+ *    on the allocator's per-thread op tick (common/op_tick.h), and the
+ *    micro_obs_overhead --check budget covers it;
  *  - sampling must never allocate (slots are fully preallocated at
  *    construction) and never hold a sampler lock across a heap lock
  *    (SimPolicy fibers may yield inside heap mutexes);

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <mutex>
 
-#include "obs/gating.h"
+#include "common/op_tick.h"
 #include "policy/cost_kind.h"
 
 namespace hoard {
@@ -90,20 +90,23 @@ class NativeEvent
     bool set_ = false;
 };
 
+namespace detail {
+
+/** The per-thread words an allocation touches, in one TLS object so
+    the op tick and the magazine slot share a cache line. */
+struct ThreadSlots
+{
+    void* cache_slot = nullptr;
+    OpTick op_tick;
+};
+
+}  // namespace detail
+
 /** Execution policy for real threads. */
 struct NativePolicy
 {
     using Mutex = std::mutex;
     using Event = NativeEvent;
-
-    /**
-     * Whether the sampling heap profiler is compiled into allocators
-     * instantiated with this policy (HOARD_PROFILER CMake option).  A
-     * policy subclass can override it to false to stamp out an
-     * unprofiled allocator in a profiled build
-     * (bench/micro_obs_overhead.cc).
-     */
-    static constexpr bool kProfilerEnabled = obs::kProfilerCompiledIn;
 
     /**
      * Captures the calling thread's backtrace into @p frames (at most
@@ -168,7 +171,11 @@ struct NativePolicy
      * here; under SimPolicy one per fiber — which is why the allocator
      * goes through the policy instead of declaring a thread_local.
      */
-    static void*& thread_cache_slot() { return t_cache_slot; }
+    static void*& thread_cache_slot() { return t_slots.cache_slot; }
+
+    /** The calling logical thread's op cadence tick (common/op_tick.h);
+        one per OS thread here, one per fiber under SimPolicy. */
+    static detail::OpTick& op_tick() { return t_slots.op_tick; }
 
     /**
      * Installs the process-wide hook invoked with a thread's non-null
@@ -193,8 +200,8 @@ struct NativePolicy
   private:
     /// Initial-exec: a plain %fs-relative load, and no lazy TLS
     /// allocation (the dynamic model may malloc on first touch).
-    static inline __thread void* t_cache_slot
-        __attribute__((tls_model("initial-exec"))) = nullptr;
+    static inline __thread detail::ThreadSlots t_slots
+        __attribute__((tls_model("initial-exec")));
 };
 
 }  // namespace hoard

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "obs/gating.h"
 #include "policy/cost_kind.h"
 #include "sim/machine.h"
 #include "sim/virtual_event.h"
@@ -26,9 +25,6 @@ struct SimPolicy
 {
     using Mutex = sim::VirtualMutex;
     using Event = sim::VirtualEvent;
-
-    /** @see NativePolicy::kProfilerEnabled */
-    static constexpr bool kProfilerEnabled = obs::kProfilerCompiledIn;
 
     /**
      * Deterministic "backtrace" for profiler tests: frame 0 is the
@@ -136,6 +132,13 @@ struct SimPolicy
     thread_cache_slot()
     {
         return sim::Machine::current()->thread_cache_slot();
+    }
+
+    /** @see NativePolicy::op_tick — one tick per *fiber*. */
+    static detail::OpTick&
+    op_tick()
+    {
+        return sim::Machine::current()->op_tick();
     }
 
     /** @see NativePolicy::set_thread_exit_hook — a fiber body always

@@ -201,6 +201,13 @@ Machine::thread_cache_slot()
     return running_->cache_slot_;
 }
 
+detail::OpTick&
+Machine::op_tick()
+{
+    HOARD_DCHECK(running_ != nullptr);
+    return running_->op_tick_;
+}
+
 std::uint64_t
 Machine::profile_site() const
 {

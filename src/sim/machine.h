@@ -27,6 +27,7 @@
 #include <set>
 #include <vector>
 
+#include "common/op_tick.h"
 #include "sim/cache_model.h"
 #include "sim/cost_model.h"
 #include "sim/fiber.h"
@@ -53,6 +54,7 @@ class SimThread
 
     std::unique_ptr<Fiber> fiber_;
     void* cache_slot_ = nullptr;  ///< per-fiber allocator cache root
+    detail::OpTick op_tick_;      ///< per-fiber op cadence tick
     std::uint64_t profile_site_ = 0;  ///< deterministic backtrace token
     std::uint64_t clock_ = 0;
     std::uint64_t pending_ = 0;   ///< charged but not yet committed
@@ -126,6 +128,10 @@ class Machine
      * fibers share one OS thread.
      */
     void*& thread_cache_slot();
+
+    /** The calling simulated thread's op cadence tick
+        (common/op_tick.h), per fiber for the same reason. */
+    detail::OpTick& op_tick();
 
     /**
      * The calling fiber's profile-site token: frame 0 of the

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/memutil.h"
+#include "core/facade.h"
 #include "core/hoard_allocator.h"
 #include "os/fault_injection.h"
 #include "os/page_provider.h"
@@ -38,6 +39,17 @@ purge_config()
 {
     Config config;
     config.heap_count = 1;
+    config.superblock_bytes = kSuperblock;
+    config.slack_superblocks = 1;
+    return config;
+}
+
+/** The configuration the shim ships (thread magazines on) over the
+    same 64 KiB superblocks. */
+Config
+shipped_purge_config()
+{
+    Config config = shipped_config();
     config.superblock_bytes = kSuperblock;
     config.slack_superblocks = 1;
     return config;
@@ -175,26 +187,36 @@ TEST(PurgePass, AgeEligibilityPurgesRetiredEmpties)
 
 TEST(PurgePass, DeallocateTailCadenceRunsPasses)
 {
-    NativePolicy::rebind_thread_index(0);
-    os::ReservedArenaProvider provider(small_arena());
-    Config config = purge_config();
-    config.rss_target_bytes = 1;  // armed, always over target
-    config.purge_interval_ticks = 1;
-    NativeHoard allocator(config, provider);
-    spike_and_free(allocator, kSpikeBlocks);
-    const std::size_t before =
-        allocator.stats().committed_bytes.current();
+    for (Config config : {purge_config(), shipped_purge_config()}) {
+        SCOPED_TRACE(config.thread_cache_blocks);
+        NativePolicy::rebind_thread_index(0);
+        os::ReservedArenaProvider provider(small_arena());
+        config.rss_target_bytes = 1;  // armed, always over target
+        config.purge_interval_ticks = 1;
+        NativeHoard allocator(config, provider);
+        std::vector<void*> blocks;
+        for (int i = 0; i < kSpikeBlocks; ++i) {
+            blocks.push_back(allocator.allocate(kBlock));
+            ASSERT_NE(blocks.back(), nullptr);
+        }
+        const std::uint64_t passes = allocator.stats().purge_passes.get();
+        const std::size_t before =
+            allocator.stats().committed_bytes.current();
 
-    // No explicit purge() call: the free-path cadence (one check per
-    // 1024 frees per thread) must elect a pass by itself.
-    for (int i = 0; i < 8192; ++i) {
-        void* p = allocator.allocate(64);
-        ASSERT_NE(p, nullptr);
-        allocator.deallocate(p);
+        // No explicit purge() call: the op cadence (a due check at
+        // least every OpTick::kCheckPeriod ops per thread, frees
+        // included) must elect passes by itself as the spike drains.
+        for (void* p : blocks)
+            allocator.deallocate(p);
+        for (int i = 0; i < 8192; ++i) {
+            void* p = allocator.allocate(64);
+            ASSERT_NE(p, nullptr);
+            allocator.deallocate(p);
+        }
+        EXPECT_GT(allocator.stats().purge_passes.get(), passes);
+        EXPECT_LT(allocator.stats().committed_bytes.current(), before);
+        EXPECT_TRUE(allocator.check_invariants());
     }
-    EXPECT_GE(allocator.stats().purge_passes.get(), 1u);
-    EXPECT_LT(allocator.stats().committed_bytes.current(), before);
-    EXPECT_TRUE(allocator.check_invariants());
 }
 
 TEST(PurgePass, ProviderRefusalRollsBackCleanly)

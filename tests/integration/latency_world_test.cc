@@ -20,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <thread>
 
+#include "core/facade.h"
 #include "core/hoard_allocator.h"
 #include "obs/event_ring.h"
 #include "obs/latency.h"
@@ -82,26 +85,89 @@ check_reconciles(const obs::AllocatorSnapshot& snap)
 TEST(LatencyWorld, NativeLarsonReconciles)
 {
     constexpr int kThreads = 4;
-    Config config;
-    config.heap_count = kThreads;
-    config.latency_histograms = true;
-    config.latency_sample_period = 1;  // exact mode
-    HoardAllocator<NativePolicy> allocator(config);
-    ASSERT_NE(allocator.latency(), nullptr);
+    Config plain;
+    plain.heap_count = kThreads;
+    // The default Config and the configuration the shim ships, whose
+    // magazine hits and parks take the timed pop/push paths.
+    for (Config config : {plain, shipped_config()}) {
+        SCOPED_TRACE(config.thread_cache_blocks);
+        config.latency_histograms = true;
+        config.latency_sample_period = 1;  // exact mode
+        HoardAllocator<NativePolicy> allocator(config);
+        ASSERT_NE(allocator.latency(), nullptr);
 
-    workloads::LarsonParams params = small_larson(kThreads);
-    workloads::native_run(kThreads, [&allocator, &params](int tid) {
-        workloads::larson_thread<NativePolicy>(allocator, params, tid);
-    });
+        workloads::LarsonParams params = small_larson(kThreads);
+        workloads::native_run(kThreads, [&allocator, &params](int tid) {
+            workloads::larson_thread<NativePolicy>(allocator, params,
+                                                   tid);
+        });
 
-    obs::AllocatorSnapshot snap = allocator.take_snapshot();
-    EXPECT_TRUE(snap.reconciles());
-    check_reconciles(snap);
+        obs::AllocatorSnapshot snap = allocator.take_snapshot();
+        EXPECT_TRUE(snap.reconciles());
+        check_reconciles(snap);
 
-    // Real cycle counts: the histograms saw nonzero time somewhere.
-    EXPECT_GT(snap.latency.path(obs::LatencyPath::malloc_fresh_map)
-                  .sum(),
-              0u);
+        // Real cycle counts: the histograms saw nonzero time somewhere.
+        EXPECT_GT(snap.latency.path(obs::LatencyPath::malloc_fresh_map)
+                      .sum(),
+                  0u);
+    }
+}
+
+/** Timed fast-path ops (magazine hits and parks) in @p latency. */
+std::uint64_t
+fast_path_records(const obs::LatencyCollector& latency)
+{
+    const obs::LatencySnapshot snap = latency.snapshot();
+    return snap.path(obs::LatencyPath::malloc_fast).count() +
+           snap.path(obs::LatencyPath::free_fast).count();
+}
+
+TEST(LatencyWorld, NativeSamplePeriodTimesOneFastOpInP)
+{
+    // Magazines on (the shipped configuration): a warm LIFO pair only
+    // hits and parks, so one op in P exactly is timed — at a period
+    // below the due-check cadence, and at one above it with the
+    // sampler's due checks cutting the tick every
+    // OpTick::kCheckPeriod ops.
+    struct Case
+    {
+        std::uint32_t period;
+        bool idle_sampler;
+    };
+    for (const Case c : {Case{7, false}, Case{1000, true}}) {
+        SCOPED_TRACE(c.period);
+        Config config = shipped_config();
+        config.latency_histograms = true;
+        config.latency_sample_period = c.period;
+        if (c.idle_sampler) {
+            config.observability = true;
+            config.obs_sample_interval =
+                std::numeric_limits<std::uint64_t>::max() / 2;
+        }
+        HoardAllocator<NativePolicy> allocator(config);
+        const std::uint64_t ops = 10 * std::uint64_t{c.period};
+        std::uint64_t timed = 0;
+        std::uint64_t slow = 0;
+        std::thread worker([&] {
+            void* warm = allocator.allocate(64);
+            allocator.deallocate(warm);
+            const std::uint64_t before =
+                fast_path_records(*allocator.latency());
+            const std::uint64_t total_before =
+                allocator.latency()->snapshot().total_count();
+            for (std::uint64_t i = 0; i < ops / 2; ++i) {
+                void* p = allocator.allocate(64);
+                ASSERT_NE(p, nullptr);
+                allocator.deallocate(p);
+            }
+            timed = fast_path_records(*allocator.latency()) - before;
+            slow = allocator.latency()->snapshot().total_count() -
+                   total_before - timed;
+        });
+        worker.join();
+        EXPECT_EQ(timed, 10u);
+        EXPECT_EQ(slow, 0u);
+    }
 }
 
 TEST(LatencyWorld, NativeDisarmedByDefault)

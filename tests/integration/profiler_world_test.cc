@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/hoard_allocator.h"
-#include "obs/gating.h"
 #include "obs/heap_profiler.h"
 #include "policy/native_policy.h"
 #include "policy/sim_policy.h"
@@ -52,9 +51,6 @@ profiled_config(int heaps)
 
 TEST(ProfilerWorld, NativeLiveBytesReconcileWithGauges)
 {
-    if (!obs::kProfilerCompiledIn)
-        GTEST_SKIP() << "profiler compiled out (HOARD_PROFILER=OFF)";
-
     constexpr int kThreads = 4;
     HoardAllocator<NativePolicy> allocator(profiled_config(kThreads));
     ASSERT_NE(allocator.profiler(), nullptr);
@@ -178,9 +174,6 @@ sim_profiled_run(std::uint64_t& live_bytes_out,
 
 TEST(ProfilerWorld, SimLiveBytesReconcileAndProfilesReplay)
 {
-    if (!obs::kProfilerCompiledIn)
-        GTEST_SKIP() << "profiler compiled out (HOARD_PROFILER=OFF)";
-
     std::uint64_t live_a = 0, in_use_a = 0;
     const std::string profile_a = sim_profiled_run(live_a, in_use_a);
     ASSERT_FALSE(profile_a.empty());

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/op_tick.h"
+#include "core/facade.h"
 #include "core/hoard_allocator.h"
 #include "metrics/json_value.h"
 #include "obs/timeseries.h"
@@ -110,27 +112,53 @@ check_quiesced(HoardAllocator<Policy>& allocator,
 TEST(TimeseriesWorld, NativeLarsonRun)
 {
     constexpr int kThreads = 4;
+    Config plain;
+    plain.heap_count = kThreads;
+    // The default Config and the configuration the shim ships.
+    for (Config config : {plain, shipped_config()}) {
+        SCOPED_TRACE(config.thread_cache_blocks);
+        config.observability = true;
+        config.obs_sample_interval = 1;  // sample at every cadence check
+        config.obs_sample_slots = 8;     // small: force overwrites
+        HoardAllocator<NativePolicy> allocator(config);
+        ASSERT_NE(allocator.sampler(), nullptr);
+
+        workloads::LarsonParams params = small_larson(kThreads);
+        workloads::native_run(kThreads, [&allocator, &params](int tid) {
+            workloads::larson_thread<NativePolicy>(allocator, params,
+                                                   tid);
+        });
+
+        ASSERT_TRUE(allocator.sample_now());
+        obs::AllocatorSnapshot snap = allocator.take_snapshot();
+        EXPECT_TRUE(snap.reconciles());
+        check_quiesced(allocator, snap);
+
+        // interval=1 with a multi-epoch workload overruns 8 slots; the
+        // overwrite path (not just the happy path) was exercised.
+        EXPECT_GT(allocator.sampler()->dropped(), 0u);
+    }
+}
+
+TEST(TimeseriesWorld, NativeHugeOpsRunTheCadence)
+{
+    // Huge pairs only: every op, huge ones included, runs the op tick,
+    // so the sampler takes cadence samples with no sample_now().
     Config config;
-    config.heap_count = kThreads;
+    config.heap_count = 1;
     config.observability = true;
-    config.obs_sample_interval = 1;  // sample at every cadence check
-    config.obs_sample_slots = 8;     // small: force overwrites
+    config.obs_sample_interval = 1;
     HoardAllocator<NativePolicy> allocator(config);
     ASSERT_NE(allocator.sampler(), nullptr);
-
-    workloads::LarsonParams params = small_larson(kThreads);
-    workloads::native_run(kThreads, [&allocator, &params](int tid) {
-        workloads::larson_thread<NativePolicy>(allocator, params, tid);
-    });
-
-    ASSERT_TRUE(allocator.sample_now());
-    obs::AllocatorSnapshot snap = allocator.take_snapshot();
-    EXPECT_TRUE(snap.reconciles());
-    check_quiesced(allocator, snap);
-
-    // interval=1 with a multi-epoch workload overruns 64 slots; the
-    // overwrite path (not just the happy path) was exercised.
-    EXPECT_GT(allocator.sampler()->dropped(), 0u);
+    const std::size_t huge = 64 * config.superblock_bytes;
+    ASSERT_EQ(allocator.size_classes().class_for(huge),
+              SizeClasses::kHuge);
+    for (std::uint32_t i = 0; i < 4 * detail::OpTick::kCheckPeriod; ++i) {
+        void* p = allocator.allocate(huge);
+        ASSERT_NE(p, nullptr);
+        allocator.deallocate(p);
+    }
+    EXPECT_GE(allocator.sampler()->total_samples(), 4u);
 }
 
 TEST(TimeseriesWorld, SimLarsonRun)

@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/op_tick.h"
+
 namespace hoard {
 namespace obs {
 namespace {
@@ -230,29 +232,46 @@ TEST(LatencyCollectorTest, SnapshotMergesShardsPerPath)
     EXPECT_EQ(snap.sample_period, 1u);
 }
 
+/** Ops of one thread through @p tick at the collector's period;
+    returns how many of them the tick chose to time. */
+int
+timed_ops(detail::OpTick& tick, const LatencyCollector& collector,
+          bool checks, int ops)
+{
+    int timed = 0;
+    for (int i = 0; i < ops; ++i) {
+        if (--tick.countdown == 0 &&
+            tick.expire(collector.sample_period(), checks))
+            ++timed;
+    }
+    return timed;
+}
+
 TEST(LatencyCollectorTest, TickHonorsSamplePeriod)
 {
-    LatencyCollector collector(/*sample_period=*/4,
+    // The op tick times the first op of a fresh thread, then one in
+    // the collector's period — also when the due checks cut the
+    // countdown at OpTick::kCheckPeriod, below a longer period.
+    LatencyCollector every4(/*sample_period=*/4, /*outlier_cycles=*/0);
+    detail::OpTick tick;
+    EXPECT_EQ(timed_ops(tick, every4, /*checks=*/false, 40), 10);
+    EXPECT_EQ(timed_ops(tick, every4, /*checks=*/true, 40), 10);
+
+    LatencyCollector every1000(/*sample_period=*/1000,
                                /*outlier_cycles=*/0);
-    // The countdown is thread-local and may be mid-stride from other
-    // tests on this thread; after the first firing the cadence must
-    // be exactly one in four.
-    while (!collector.tick()) {
-    }
-    int fired = 0;
-    for (int i = 0; i < 40; ++i)
-        fired += collector.tick() ? 1 : 0;
-    EXPECT_EQ(fired, 10);
+    detail::OpTick long_tick;
+    EXPECT_EQ(timed_ops(long_tick, every1000, /*checks=*/true, 10000),
+              10);
+    EXPECT_LE(long_tick.countdown, detail::OpTick::kCheckPeriod);
 }
 
 TEST(LatencyCollectorTest, ExactModeTicksEveryOp)
 {
     LatencyCollector collector(/*sample_period=*/1,
                                /*outlier_cycles=*/0);
-    while (!collector.tick()) {
-    }
-    for (int i = 0; i < 16; ++i)
-        EXPECT_TRUE(collector.tick());
+    detail::OpTick tick;
+    EXPECT_EQ(timed_ops(tick, collector, /*checks=*/false, 16), 16);
+    EXPECT_EQ(timed_ops(tick, collector, /*checks=*/true, 16), 16);
 }
 
 TEST(LatencyCollectorTest, OutlierThreshold)
